@@ -107,7 +107,7 @@ def _cmd_mult(args) -> int:
         raise UsageError(f"expected B[parts]*B[parts], got {args.expr!r}")
     left = parse_element(m.group(1))
     right = parse_element(m.group(2))
-    degrees = [sum(lam) for lam in (*left.terms, *right.terms)]
+    degrees = [sum(lam) for lam in (*left._terms, *right._terms)]
     _check_cap(sum(degrees), "product degree")
     _emit_symfunc(multiply(left, right), args.basis, args.json)
     return 0
@@ -115,7 +115,7 @@ def _cmd_mult(args) -> int:
 
 def _cmd_convert(args) -> int:
     f = parse_symfunc(args.expr)
-    for lam in f.terms:
+    for lam in f._terms:
         _check_cap(sum(lam), f"partition {format_partition(lam)}")
     _emit_symfunc(f, args.basis, args.json)
     return 0
@@ -284,9 +284,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ sparse term map.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .partitions import (
@@ -24,40 +24,45 @@ from .partitions import (
     pad,
     partitions_of,
 )
+from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, perm_sign, staircase
 
 
-class SparsePoly:
+class SparsePoly(SparseCombination):
     """A multivariate polynomial with big-integer coefficients.
 
     terms maps exponent tuples (length exactly n, nonnegative entries) to
     nonzero integers.  Values are immutable; arithmetic returns new objects.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _head_name = "n"
+    _key_name = "exps"
 
-    def __init__(self, n: int, terms=()):
+    @staticmethod
+    def _check_head(n) -> None:
         if n < 0:
             raise ValueError("variable count must be nonnegative")
-        clean: dict[tuple[int, ...], int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, c in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for {n} variables")
-            c = int(c)
-            if not c:
-                continue
-            acc = clean.get(exps, 0) + c
-            if acc:
-                clean[exps] = acc
-            else:
-                del clean[exps]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly values are immutable")
+    def _key(self, exps) -> tuple[int, ...]:
+        exps = tuple(exps)
+        if any(type(e) is not int for e in exps):
+            raise TypeError(f"exponents must be int, got {exps!r}")
+        if len(exps) != self._head or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self._head} variables")
+        return exps
+
+    @staticmethod
+    def _sort_key(exps: tuple[int, ...]):
+        return (sum(exps), tuple(-x for x in exps))
+
+    @staticmethod
+    def _body(exps: tuple[int, ...]) -> str:
+        return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
+
+    @property
+    def n(self) -> int:
+        return self._head
 
     @classmethod
     def zero(cls, n: int) -> "SparsePoly":
@@ -71,139 +76,41 @@ class SparsePoly:
     def monomial(cls, n: int, exps: Sequence[int], coeff: int = 1) -> "SparsePoly":
         return cls(n, {tuple(exps): coeff})
 
-    def _require_same_vars(self, other: "SparsePoly") -> None:
-        if self.n != other.n:
-            raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        self._require_same_vars(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-        out = SparsePoly.__new__(SparsePoly)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "terms", acc)
-        return out
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SparsePoly":
-        out = SparsePoly.__new__(SparsePoly)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
-
-    def __rmul__(self, other: int) -> "SparsePoly":
-        if not isinstance(other, int):
-            return NotImplemented
-        if other == 0:
-            return SparsePoly.zero(self.n)
-        out = SparsePoly.__new__(SparsePoly)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "terms", {e: other * c for e, c in self.terms.items()})
-        return out
+    def _require_same_head(self, other: "SparsePoly") -> None:
+        if self._head != other._head:
+            raise ValueError(f"variable counts differ: {self._head} vs {other._head}")
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self.__rmul__(other)
-        if not isinstance(other, SparsePoly):
+        if type(other) is not SparsePoly:
             return NotImplemented
-        self._require_same_vars(other)
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = acc.get(key, 0) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
-        out = SparsePoly.__new__(SparsePoly)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "terms", acc)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        self._require_same_head(other)
+        right = other._terms.items()
+        return self._like(
+            accumulate(
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in self._terms.items()
+                for e2, c2 in right
+            )
+        )
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def _ordered(self):
-        return sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e)))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits: list[str] = []
-        for exps in self._ordered():
-            c = self.terms[exps]
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            ]
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            if not bits:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)
+        return max((sum(e) for e in self._terms), default=0)
 
     def __repr__(self) -> str:
-        return f"SparsePoly({self.n}, {self})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"exps": list(e), "coeff": str(self.terms[e])} for e in self._ordered()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SparsePoly":
-        return cls(data["n"], [(tuple(t["exps"]), int(t["coeff"])) for t in data["terms"]])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparsePoly":
-        return cls.from_json_dict(json.loads(text))
+        return f"SparsePoly({self._head}, {self})"
 
 
 def embed(p: SparsePoly, n: int, offset: int = 0) -> SparsePoly:
     """View p inside n variables, its own variables starting at slot offset."""
     if offset < 0 or offset + p.n > n:
         raise ValueError("embedding does not fit")
-    return SparsePoly(
+    return SparsePoly._trusted(
         n,
         {
             (0,) * offset + e + (0,) * (n - offset - p.n): c
-            for e, c in p.terms.items()
+            for e, c in p._terms.items()
         },
     )
 
@@ -214,7 +121,7 @@ def restrict_vars(p: SparsePoly, m: int) -> SparsePoly:
         raise ValueError("cannot restrict to more variables than present")
     return SparsePoly(
         m,
-        [(e[:m], c) for e, c in p.terms.items() if not any(e[m:])],
+        [(e[:m], c) for e, c in p._terms.items() if not any(e[m:])],
     )
 
 
@@ -222,47 +129,38 @@ def restrict_vars(p: SparsePoly, m: int) -> SparsePoly:
 # classical generators
 
 
-@lru_cache(maxsize=None)
-def _eval_h(r: int, n: int) -> SparsePoly:
+def _symmetric_sum(r: int, n: int, choose) -> SparsePoly:
+    # the monomials x_{i_1} ... x_{i_r} over the index tuples choose(range(n), r)
     if r < 0:
         return SparsePoly.zero(n)
-    if r == 0:
-        return SparsePoly.one(n)
     terms: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations_with_replacement(range(n), r):
+    for combo in choose(range(n), r):
         e = [0] * n
         for i in combo:
             e[i] += 1
         terms[tuple(e)] = 1
-    return SparsePoly(n, terms)
+    return SparsePoly._trusted(n, terms)
+
+
+@lru_cache(maxsize=None)
+def _eval_h(r: int, n: int) -> SparsePoly:
+    return _symmetric_sum(r, n, itertools.combinations_with_replacement)
 
 
 @lru_cache(maxsize=None)
 def _eval_e(r: int, n: int) -> SparsePoly:
-    if r < 0:
-        return SparsePoly.zero(n)
-    if r == 0:
-        return SparsePoly.one(n)
-    terms: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations(range(n), r):
-        e = [0] * n
-        for i in combo:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return SparsePoly(n, terms)
+    return _symmetric_sum(r, n, itertools.combinations)
 
 
 def eval_h(r: int, n: int) -> SparsePoly:
     """The complete homogeneous function of degree r in n variables."""
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+    SparsePoly._check_head(n)
     return _eval_h(r, n)
 
 
 def eval_e(r: int, n: int) -> SparsePoly:
     """The elementary function of degree r in n variables (zero for r > n)."""
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+    SparsePoly._check_head(n)
     return _eval_e(r, n)
 
 
@@ -294,11 +192,10 @@ def eval_m(lam: Sequence[int], n: int) -> SparsePoly:
     """The monomial function: the sum over distinct rearrangements of lam
     into n exponent slots; zero when lam has more parts than variables."""
     lam = normalize(lam)
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+    SparsePoly._check_head(n)
     if len(lam) > n:
         return SparsePoly.zero(n)
-    return SparsePoly(n, {e: 1 for e in _distinct_permutations(pad(lam, n))})
+    return SparsePoly._trusted(n, dict.fromkeys(_distinct_permutations(pad(lam, n)), 1))
 
 
 @lru_cache(maxsize=None)
@@ -321,18 +218,19 @@ def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
 def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
     if not contains(mu, lam):
         return SparsePoly.zero(n)
-    terms: dict[tuple[int, ...], int] = {}
-    stack: list[tuple[int, Partition, tuple[int, ...]]] = [(0, mu, ())]
-    while stack:
-        step, shape, exps = stack.pop()
-        if step == n:
-            if shape == lam:
-                v = terms.get(exps, 0) + 1
-                terms[exps] = v
-            continue
-        for nxt in horizontal_strips_within(shape, lam):
-            stack.append((step + 1, nxt, exps + (sum(nxt) - sum(shape),)))
-    return SparsePoly(n, terms)
+
+    def chains():
+        stack: list[tuple[int, Partition, tuple[int, ...]]] = [(0, mu, ())]
+        while stack:
+            step, shape, exps = stack.pop()
+            if step == n:
+                if shape == lam:
+                    yield exps, 1
+                continue
+            for nxt in horizontal_strips_within(shape, lam):
+                stack.append((step + 1, nxt, exps + (sum(nxt) - sum(shape),)))
+
+    return SparsePoly._trusted(n, accumulate(chains()))
 
 
 def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> SparsePoly:
@@ -341,15 +239,14 @@ def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> Sp
     Walks chains of horizontal strips from mu up to lam in n steps, one step
     per variable; the number of boxes added at step i is the exponent of x_i.
     """
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+    SparsePoly._check_head(n)
     return _eval_s(normalize(lam), normalize(mu), n)
 
 
 def eval_sym_func(f, n: int) -> SparsePoly:
     """Evaluate a basis-tagged symmetric function in n variables, termwise."""
     total = SparsePoly.zero(n)
-    for lam, c in f.terms.items():
+    for lam, c in f._terms.items():
         if f.basis == "s":
             p = eval_s_tableau(lam, (), n)
         elif f.basis == "h":
@@ -377,15 +274,13 @@ def alternant(alpha: Sequence[int], n: int) -> SparsePoly:
     if len(alpha) > n:
         raise ValueError(f"exponent vector longer than {n} variables")
     padded = pad(alpha, n)
-    terms: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(n)):
-        key = tuple(padded[perm[i]] for i in range(n))
-        v = terms.get(key, 0) + perm_sign(perm)
-        if v:
-            terms[key] = v
-        else:
-            del terms[key]
-    return SparsePoly(n, terms)
+    return SparsePoly._trusted(
+        n,
+        accumulate(
+            (tuple(padded[perm[i]] for i in range(n)), perm_sign(perm))
+            for perm in itertools.permutations(range(n))
+        ),
+    )
 
 
 def _staircase_shift(lam: Partition, n: int) -> tuple[int, ...]:
@@ -415,10 +310,8 @@ def alternant_pieri_check(lam: Sequence[int], r: int, n: int) -> bool:
     if r < 0:
         raise ValueError("strip size must be nonnegative")
     lhs = alternant(_staircase_shift(lam, n), n) * eval_h(r, n)
-    rhs = SparsePoly.zero(n)
-    for mu in horizontal_strip_extensions(lam, r, max_len=n):
-        rhs = rhs + alternant(_staircase_shift(mu, n), n)
-    return lhs == rhs
+    strips = horizontal_strip_extensions(lam, r, max_len=n)
+    return lhs == sum((alternant(_staircase_shift(mu, n), n) for mu in strips), SparsePoly.zero(n))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +331,7 @@ def reduction_check(lam: Sequence[int], n: int) -> bool:
         mus = horizontal_strip_reductions(lam, p)
         if not mus:
             continue
-        inner = SparsePoly.zero(n - 1)
-        for mu in mus:
-            inner = inner + eval_s_tableau(mu, (), n - 1)
+        inner = sum((eval_s_tableau(mu, (), n - 1) for mu in mus), SparsePoly.zero(n - 1))
         lifted = embed(inner, n)
         rhs = rhs + lifted * SparsePoly.monomial(n, (0,) * (n - 1) + (p,))
     return lhs == rhs
@@ -451,9 +342,8 @@ def jacobi_trudi_eval_check(lam: Sequence[int], n: int) -> bool:
     signed h-index expansion, evaluated as products of complete functions,
     reproduces the tableau sum exactly."""
     lam = normalize(lam)
-    total = SparsePoly.zero(n)
-    for beta, c in jacobi_trudi_expand(lam).items():
-        total = total + c * eval_h_monomial(beta, n)
+    terms = jacobi_trudi_expand(lam).items()
+    total = sum((c * eval_h_monomial(beta, n) for beta, c in terms), SparsePoly.zero(n))
     return total == eval_s_tableau(lam, (), n)
 
 
@@ -510,7 +400,7 @@ def product_oracle(
     if n < sum(mu) + sum(nu):
         raise ValueError(f"need at least {sum(mu) + sum(nu)} variables for faithfulness")
     prod = eval_s_tableau(mu, (), n) * eval_s_tableau(nu, (), n)
-    work = dict(prod.terms)
+    work = dict(prod._terms)
     coeffs: dict[Partition, int] = {}
     while work:
         lead = max(work)
@@ -521,7 +411,7 @@ def product_oracle(
             )
         c = work[lead]
         coeffs[lam] = c
-        for e, v in _eval_s(lam, (), n).terms.items():
+        for e, v in _eval_s(lam, (), n)._terms.items():
             w = work.get(e, 0) - c * v
             if w:
                 work[e] = w
@@ -544,34 +434,36 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
         raise ValueError("need at least one variable per alphabet")
     width = 2 * n
     kernel: dict[tuple[int, ...], int] = {(0,) * width: 1}
+    powers = (0, 1) if dual else tuple(range(k + 1))
+
+    def times_factor(kernel, i, j):
+        # kernel times the (truncated) series in x_i y_j
+        for e, c in kernel.items():
+            for t in powers:
+                out = list(e)
+                out[i] += t
+                out[n + j] += t
+                if sum(out[:n]) <= k and sum(out[n:]) <= k:
+                    yield tuple(out), c
+
     for i in range(n):
         for j in range(n):
-            powers = (0, 1) if dual else tuple(range(k + 1))
-            nxt: dict[tuple[int, ...], int] = {}
-            for e, c in kernel.items():
-                for t in powers:
-                    out = list(e)
-                    out[i] += t
-                    out[n + j] += t
-                    if sum(out[:n]) > k or sum(out[n:]) > k:
-                        continue
-                    key = tuple(out)
-                    nxt[key] = nxt.get(key, 0) + c
-            kernel = nxt
+            kernel = accumulate(times_factor(kernel, i, j))
     lhs = {
         e: c
         for e, c in kernel.items()
         if sum(e[:n]) == k and sum(e[n:]) == k
     }
-    rhs: dict[tuple[int, ...], int] = {}
-    for lam in partitions_of(k):
-        px = eval_s_tableau(lam, (), n)
-        py = eval_s_tableau(conjugate(lam) if dual else lam, (), n)
-        for ex, cx in px.terms.items():
-            for ey, cy in py.terms.items():
-                key = ex + ey
-                rhs[key] = rhs.get(key, 0) + cx * cy
-    return lhs == {e: c for e, c in rhs.items() if c}
+
+    def diagonal():
+        for lam in partitions_of(k):
+            px = eval_s_tableau(lam, (), n)
+            py = eval_s_tableau(conjugate(lam) if dual else lam, (), n)
+            for ex, cx in px._terms.items():
+                for ey, cy in py._terms.items():
+                    yield ex + ey, cx * cy
+
+    return lhs == accumulate(diagonal())
 
 
 def clear_caches() -> None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional, Sequence
 
-from .partitions import Partition, normalize
+from ._sparse import accumulate
+from .partitions import Partition, normalize, pad
 
 
 class SignedPartition(NamedTuple):
@@ -90,28 +91,34 @@ def adjacent_swap_identity_check(
     return left.sign == -right.sign and left.partition == right.partition
 
 
-def jacobi_trudi_expand(alpha: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Alternating expansion of the index determinant into h-index monomials.
-
-    Sums sign(w) * [index vector w(alpha + staircase) - staircase] over all
-    permutations w of the working length.  Terms with a negative index vanish
-    (generators of negative degree are zero), zero indices are deleted (the
-    degree-zero generator is 1), and surviving index multisets are keyed as
-    partitions sorted descending.
-    """
-    alpha = tuple(alpha)
-    ell = len(alpha)
+def _forced_contents(alpha: Sequence[int], mu: Sequence[int] = ()):
+    """Each permutation w of the working length, max(len(alpha), len(mu)),
+    whose index vector w(alpha + staircase) - staircase - mu is nonnegative,
+    paired with that vector."""
+    ell = max(len(alpha), len(mu))
+    alpha, mu = pad(alpha, ell), pad(mu, ell)
     rho = staircase(ell)
     shifted = tuple(alpha[i] + rho[i] for i in range(ell))
-    terms: dict[tuple[int, ...], int] = {}
     for perm in itertools.permutations(range(ell)):
-        idx = [shifted[perm[i]] - rho[i] for i in range(ell)]
-        if any(v < 0 for v in idx):
-            continue
-        key = tuple(sorted((v for v in idx if v), reverse=True))
-        c = terms.get(key, 0) + perm_sign(perm)
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
-    return terms
+        idx = tuple(shifted[perm[j]] - rho[j] - mu[j] for j in range(ell))
+        if all(v >= 0 for v in idx):
+            yield perm, idx
+
+
+def jacobi_trudi_expand(
+    alpha: Sequence[int], mu: Sequence[int] = ()
+) -> dict[tuple[int, ...], int]:
+    """Alternating expansion of the index determinant into h-index monomials.
+
+    Sums sign(w) * [index vector w(alpha + staircase) - staircase - mu] over
+    all permutations w of the working length, max(len(alpha), len(mu)); with
+    an inner shape mu this is the skew determinant det(h_{alpha_i - mu_j +
+    j - i}).  Terms with a negative index vanish (generators of negative
+    degree are zero), zero indices are deleted (the degree-zero generator is
+    1), and surviving index multisets are keyed as partitions sorted
+    descending.
+    """
+    return accumulate(
+        (tuple(sorted((v for v in idx if v), reverse=True)), perm_sign(perm))
+        for perm, idx in _forced_contents(alpha, mu)
+    )

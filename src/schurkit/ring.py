@@ -10,10 +10,8 @@ Kostka matrix and its forward-substitution inverse, both cached.
 
 from __future__ import annotations
 
-import itertools
-import json
 import threading
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
     Partition,
@@ -29,7 +27,8 @@ from .partitions import (
     term_key,
     vertical_strip_extensions,
 )
-from .raising import perm_sign, straighten
+from ._sparse import SparseCombination, accumulate
+from .raising import jacobi_trudi_expand, straighten
 from .tableaux import kostka, lr_coefficient
 
 BASES = ("s", "h", "e", "m")
@@ -39,7 +38,7 @@ class BasisMismatchError(ValueError):
     """Raised when an operation silently mixing bases is attempted."""
 
 
-class SymFunc:
+class SymFunc(SparseCombination):
     """A sparse integer combination of partitions in a tagged basis.
 
     Immutable once built: arithmetic returns new objects, zero coefficients
@@ -47,32 +46,23 @@ class SymFunc:
     matching bases; convert explicitly instead of relying on coercion.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    _head_name = "basis"
+    _key_name = "partition"
+    _sort_key = staticmethod(term_key)
+    _key = staticmethod(normalize)
 
-    def __init__(
-        self,
-        basis: str,
-        terms: Union[Mapping[Sequence[int], int], Iterable[tuple[Sequence[int], int]]] = (),
-    ):
+    @staticmethod
+    def _check_head(basis) -> None:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-        clean: dict[Partition, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for lam, c in items:
-            lam = normalize(lam)
-            c = int(c)
-            if not c:
-                continue
-            acc = clean.get(lam, 0) + c
-            if acc:
-                clean[lam] = acc
-            else:
-                del clean[lam]
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc values are immutable")
+    @property
+    def basis(self) -> str:
+        return self._head
+
+    def _body(self, lam: Partition) -> str:
+        return f"{self._head}{format_partition(lam)}"
 
     @classmethod
     def zero(cls, basis: str = "s") -> "SymFunc":
@@ -84,109 +74,32 @@ class SymFunc:
 
     @classmethod
     def element(cls, basis: str, lam: Sequence[int], coeff: int = 1) -> "SymFunc":
-        return cls(basis, {normalize(lam): coeff})
+        return cls(basis, {lam: coeff})
 
     def coefficient(self, lam: Sequence[int]) -> int:
-        return self.terms.get(normalize(lam), 0)
+        return self._terms.get(normalize(lam), 0)
 
     def degrees(self) -> list[int]:
-        return sorted({sum(lam) for lam in self.terms})
+        return sorted({sum(lam) for lam in self._terms})
 
     def graded_component(self, k: int) -> "SymFunc":
-        return SymFunc(self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == k})
+        return self._like({lam: c for lam, c in self._terms.items() if sum(lam) == k})
 
-    def _require_same_basis(self, other: "SymFunc") -> None:
-        if self.basis != other.basis:
+    def _require_same_head(self, other: "SymFunc") -> None:
+        if self._head != other._head:
             raise BasisMismatchError(
-                f"cannot combine {self.basis}-basis with {other.basis}-basis; convert first"
+                f"cannot combine {self._head}-basis with {other._head}-basis; convert first"
             )
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        self._require_same_basis(other)
-        acc = dict(self.terms)
-        for lam, c in other.terms.items():
-            v = acc.get(lam, 0) + c
-            if v:
-                acc[lam] = v
-            else:
-                acc.pop(lam, None)
-        return SymFunc(self.basis, acc)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SymFunc":
-        return SymFunc(self.basis, {lam: -c for lam, c in self.terms.items()})
-
-    def __rmul__(self, other: int) -> "SymFunc":
-        if isinstance(other, int):
-            return SymFunc(self.basis, {lam: other * c for lam, c in self.terms.items()})
-        return NotImplemented
-
     def __mul__(self, other: Union["SymFunc", int]) -> "SymFunc":
-        if isinstance(other, int):
+        if type(other) is int:
             return self.__rmul__(other)
-        if isinstance(other, SymFunc):
+        if type(other) is SymFunc:
             return multiply(self, other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
     def __hash__(self) -> int:
-        return hash((self.basis, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits: list[str] = []
-        for lam in sorted(self.terms, key=term_key):
-            c = self.terms[lam]
-            body = f"{self.basis}{format_partition(lam)}"
-            piece = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            if not bits:
-                bits.append(piece if c > 0 else f"-{piece}")
-            else:
-                bits.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"SymFunc({self})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"partition": list(lam), "coeff": str(self.terms[lam])}
-                for lam in sorted(self.terms, key=term_key)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymFunc":
-        return cls(
-            data["basis"],
-            [(tuple(t["partition"]), int(t["coeff"])) for t in data["terms"]],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymFunc":
-        return cls.from_json_dict(json.loads(text))
+        return hash((self._head, frozenset(self._terms.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -251,68 +164,45 @@ def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
     return _memo(("kostka-inv", k), build)
 
 
+def _expand(f: SymFunc, target: str, image) -> SymFunc:
+    """Replace each basis element of f by image(lam), a map from target-basis
+    keys to coefficients."""
+    pairs = ((mu, c * v) for lam, c in f._terms.items() for mu, v in image(lam).items())
+    return SymFunc._trusted(target, accumulate(pairs))
+
+
+def _column(matrix: dict[Partition, dict[Partition, int]], lam: Partition) -> dict:
+    return {mu: v for mu, row in matrix.items() if (v := row.get(lam, 0))}
+
+
 def _to_s(f: SymFunc) -> SymFunc:
     if f.basis == "s":
         return f
-    acc: dict[Partition, int] = {}
 
-    def add(lam: Partition, c: int) -> None:
-        v = acc.get(lam, 0) + c
-        if v:
-            acc[lam] = v
-        else:
-            acc.pop(lam, None)
-
-    for lam, c in f.terms.items():
+    def image(lam: Partition) -> dict:
         k = sum(lam)
-        if f.basis == "h":
-            for mu in partitions_of(k):
-                v = kostka_matrix(k)[mu].get(lam, 0)
-                if v:
-                    add(mu, c * v)
-        elif f.basis == "e":
-            for mu in partitions_of(k):
-                v = kostka_matrix(k)[mu].get(lam, 0)
-                if v:
-                    add(conjugate(mu), c * v)
-        else:  # m
-            for nu, v in kostka_inverse(k)[lam].items():
-                add(nu, c * v)
-    return SymFunc("s", acc)
+        if f.basis == "m":
+            return kostka_inverse(k)[lam]
+        column = _column(kostka_matrix(k), lam)
+        return column if f.basis == "h" else {conjugate(mu): v for mu, v in column.items()}
+
+    return _expand(f, "s", image)
 
 
 def _from_s(f: SymFunc, target: str) -> SymFunc:
     if target == "s":
         return f
-    acc: dict[Partition, int] = {}
 
-    def add(lam: Partition, c: int) -> None:
-        v = acc.get(lam, 0) + c
-        if v:
-            acc[lam] = v
-        else:
-            acc.pop(lam, None)
-
-    for lam, c in f.terms.items():
+    def image(lam: Partition) -> dict:
         k = sum(lam)
         if target == "m":
-            for mu, v in kostka_matrix(k)[lam].items():
-                add(mu, c * v)
-        elif target == "h":
-            # the h-coefficients of s_lam are a column of the inverse Kostka
-            # matrix; this stays independent of the determinant expansion,
-            # which the tests play against it
-            for beta in partitions_of(k):
-                v = kostka_inverse(k)[beta].get(lam, 0)
-                if v:
-                    add(beta, c * v)
-        else:  # e: transport along the conjugate
-            target_lam = conjugate(lam)
-            for beta in partitions_of(k):
-                v = kostka_inverse(k)[beta].get(target_lam, 0)
-                if v:
-                    add(beta, c * v)
-    return SymFunc(target, acc)
+            return kostka_matrix(k)[lam]
+        # the h-coefficients of s_lam are a column of the inverse Kostka
+        # matrix; this stays independent of the determinant expansion,
+        # which the tests play against it.  e transports along the conjugate.
+        return _column(kostka_inverse(k), lam if target == "h" else conjugate(lam))
+
+    return _expand(f, target, image)
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
@@ -320,7 +210,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if target == f.basis:
-        return SymFunc(f.basis, f.terms)
+        return f
     return _from_s(_to_s(f), target)
 
 
@@ -328,32 +218,24 @@ def convert(f: SymFunc, target: str) -> SymFunc:
 # products
 
 
-def pieri_h(p: int, f: SymFunc) -> SymFunc:
-    """Multiply a Schur-basis element by the degree-p complete function:
-    each partition grows by every horizontal p-strip."""
+def _pieri(p: int, f: SymFunc, extensions, name: str) -> SymFunc:
     if p < 0:
         raise ValueError("strip size must be nonnegative")
     if f.basis != "s":
-        raise BasisMismatchError("pieri_h acts on the s-basis; convert first")
-    acc: dict[Partition, int] = {}
-    for lam, c in f.terms.items():
-        for mu in horizontal_strip_extensions(lam, p):
-            acc[mu] = acc.get(mu, 0) + c
-    return SymFunc("s", acc)
+        raise BasisMismatchError(f"{name} acts on the s-basis; convert first")
+    return _expand(f, "s", lambda lam: dict.fromkeys(extensions(lam, p), 1))
+
+
+def pieri_h(p: int, f: SymFunc) -> SymFunc:
+    """Multiply a Schur-basis element by the degree-p complete function:
+    each partition grows by every horizontal p-strip."""
+    return _pieri(p, f, horizontal_strip_extensions, "pieri_h")
 
 
 def pieri_e(p: int, f: SymFunc) -> SymFunc:
     """Multiply a Schur-basis element by the degree-p elementary function:
     each partition grows by every vertical p-strip."""
-    if p < 0:
-        raise ValueError("strip size must be nonnegative")
-    if f.basis != "s":
-        raise BasisMismatchError("pieri_e acts on the s-basis; convert first")
-    acc: dict[Partition, int] = {}
-    for lam, c in f.terms.items():
-        for mu in vertical_strip_extensions(lam, p):
-            acc[mu] = acc.get(mu, 0) + c
-    return SymFunc("s", acc)
+    return _pieri(p, f, vertical_strip_extensions, "pieri_e")
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -362,16 +244,18 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     Inputs in other bases are converted first; the result is always tagged s.
     """
     fs, gs = _to_s(f), _to_s(g)
-    acc: dict[Partition, int] = {}
-    for mu, a in fs.terms.items():
-        for nu, b in gs.terms.items():
-            for lam in partitions_of(sum(mu) + sum(nu)):
-                if not contains(mu, lam):
-                    continue
-                c = lr_coefficient(lam, mu, nu)
-                if c:
-                    acc[lam] = acc.get(lam, 0) + a * b * c
-    return SymFunc("s", {lam: c for lam, c in acc.items() if c})
+
+    def pairs():
+        for mu, a in fs._terms.items():
+            for nu, b in gs._terms.items():
+                for lam in partitions_of(sum(mu) + sum(nu)):
+                    if not contains(mu, lam):
+                        continue
+                    c = lr_coefficient(lam, mu, nu)
+                    if c:
+                        yield lam, a * b * c
+
+    return SymFunc._trusted("s", accumulate(pairs()))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +266,11 @@ def omega(f: SymFunc) -> SymFunc:
     """The duality involution: conjugates Schur indices and swaps the h and e
     tags; monomial-basis input routes through s."""
     if f.basis == "s":
-        return SymFunc("s", {conjugate(lam): c for lam, c in f.terms.items()})
+        return f._like({conjugate(lam): c for lam, c in f._terms.items()})
     if f.basis == "h":
-        return SymFunc("e", f.terms)
+        return SymFunc._trusted("e", f._terms)
     if f.basis == "e":
-        return SymFunc("h", f.terms)
+        return SymFunc._trusted("h", f._terms)
     return convert(omega(_to_s(f)), "m")
 
 
@@ -396,12 +280,10 @@ def skew_schur(lam: Sequence[int], mu: Sequence[int]) -> SymFunc:
     lam, mu = normalize(lam), normalize(mu)
     if not contains(mu, lam):
         return SymFunc.zero("s")
-    acc = {}
-    for nu in partitions_of(sum(lam) - sum(mu)):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            acc[nu] = c
-    return SymFunc("s", acc)
+    return SymFunc._trusted(
+        "s",
+        {nu: c for nu in partitions_of(sum(lam) - sum(mu)) if (c := lr_coefficient(lam, mu, nu))},
+    )
 
 
 def skew_jacobi_trudi(
@@ -415,34 +297,17 @@ def skew_jacobi_trudi(
     """
     if flavor not in ("h", "e"):
         raise ValueError("flavor must be 'h' or 'e'")
-    lam, mu = normalize(lam), normalize(mu)
-    ell = max(len(lam), len(mu))
-    lam_p, mu_p = pad(lam, ell), pad(mu, ell)
-    acc: dict[Partition, int] = {}
-    for perm in itertools.permutations(range(ell)):
-        idx = [lam_p[i] - mu_p[perm[i]] + perm[i] - i for i in range(ell)]
-        if any(v < 0 for v in idx):
-            continue
-        key = tuple(sorted((v for v in idx if v), reverse=True))
-        acc[key] = acc.get(key, 0) + perm_sign(perm)
-    return SymFunc(flavor, {k: v for k, v in acc.items() if v})
+    return SymFunc._trusted(flavor, jacobi_trudi_expand(normalize(lam), normalize(mu)))
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 
 
-def _signed_sum(vectors: Iterable[Sequence[int]]) -> dict[Partition, int]:
-    acc: dict[Partition, int] = {}
-    for vec in vectors:
-        sp = straighten(vec)
-        if sp.sign:
-            v = acc.get(sp.partition, 0) + sp.sign
-            if v:
-                acc[sp.partition] = v
-            else:
-                del acc[sp.partition]
-    return acc
+def _signed_sum(weighted: Iterable[tuple[Sequence[int], int]]) -> dict[Partition, int]:
+    """Straighten each index vector and sum its weight times the sign."""
+    straightened = ((straighten(vec), w) for vec, w in weighted if w)
+    return accumulate((sp.partition, w * sp.sign) for sp, w in straightened if sp.sign)
 
 
 def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -> bool:
@@ -462,24 +327,17 @@ def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -
     if n is not None and n < ell:
         raise ValueError(f"length bound {n} is below the partition length {ell}")
 
-    width_add = ell + p if n is None else n
-    base = pad(lam, width_add)
-    lhs_add = _signed_sum(
-        tuple(base[i] + alpha[i] for i in range(width_add))
-        for alpha in compositions_of(p, width_add)
-    )
-    rhs_add = {mu: 1 for mu in horizontal_strip_extensions(lam, p, max_len=n)}
-    if lhs_add != rhs_add:
-        return False
+    def side(width: int, sign: int, strips: list[Partition]) -> bool:
+        base = pad(lam, width)
+        lhs = _signed_sum(
+            (tuple(base[i] + sign * alpha[i] for i in range(width)), 1)
+            for alpha in compositions_of(p, width)
+        )
+        return lhs == dict.fromkeys(strips, 1)
 
-    width_sub = ell + 1 if n is None else n
-    base = pad(lam, width_sub)
-    lhs_sub = _signed_sum(
-        tuple(base[i] - alpha[i] for i in range(width_sub))
-        for alpha in compositions_of(p, width_sub)
-    )
-    rhs_sub = {mu: 1 for mu in horizontal_strip_reductions(lam, p)}
-    return lhs_sub == rhs_sub
+    return side(
+        ell + p if n is None else n, 1, horizontal_strip_extensions(lam, p, max_len=n)
+    ) and side(ell + 1 if n is None else n, -1, horizontal_strip_reductions(lam, p))
 
 
 def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -490,19 +348,11 @@ def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
     if not contains(mu, lam):
         return not skew_schur(lam, mu)
     ell = len(lam)
-    acc: dict[Partition, int] = {}
-    for alpha in compositions_of(sum(mu), ell):
-        weight = kostka(mu, (), alpha)
-        if not weight:
-            continue
-        sp = straighten(tuple(lam[i] - alpha[i] for i in range(ell)))
-        if sp.sign:
-            v = acc.get(sp.partition, 0) + weight * sp.sign
-            if v:
-                acc[sp.partition] = v
-            else:
-                del acc[sp.partition]
-    return SymFunc("s", acc) == skew_schur(lam, mu)
+    lhs = _signed_sum(
+        (tuple(lam[i] - alpha[i] for i in range(ell)), kostka(mu, (), alpha))
+        for alpha in compositions_of(sum(mu), ell)
+    )
+    return SymFunc._trusted("s", lhs) == skew_schur(lam, mu)
 
 
 def newton_check(r: int) -> bool:
@@ -529,18 +379,22 @@ def cauchy_transition_check(k: int, dual: bool = False) -> bool:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     parts = partitions_of(k)
-    lhs: dict[tuple[Partition, Partition], int] = {}
-    for lam in parts:
-        left = convert(SymFunc.element("s", lam), "m")
-        second = SymFunc.element("s", conjugate(lam) if dual else lam)
-        right = convert(second, "e" if dual else "h")
-        for a, ca in left.terms.items():
-            for b, cb in right.terms.items():
-                key = (a, b)
-                v = lhs.get(key, 0) + ca * cb
-                if v:
-                    lhs[key] = v
-                else:
-                    del lhs[key]
+
+    def pairs():
+        for lam in parts:
+            left = convert(SymFunc.element("s", lam), "m")
+            second = SymFunc.element("s", conjugate(lam) if dual else lam)
+            right = convert(second, "e" if dual else "h")
+            for a, ca in left._terms.items():
+                for b, cb in right._terms.items():
+                    yield (a, b), ca * cb
+
+    lhs = accumulate(pairs())
     rhs = {(lam, lam): 1 for lam in parts}
     return lhs == rhs
+
+
+def clear_caches() -> None:
+    """Drop the cached transition matrices (mainly for benchmarking)."""
+    with _cache_lock:
+        _cache.clear()

@@ -8,7 +8,6 @@ i-th step adds the boxes holding entry i.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -19,7 +18,7 @@ from .partitions import (
     normalize,
     pad,
 )
-from .raising import perm_sign, staircase
+from .raising import _forced_contents, perm_sign, staircase
 
 
 class Tableau:
@@ -38,11 +37,11 @@ class Tableau:
         inner: Sequence[int],
         rows: Sequence[Sequence[int]],
     ):
-        self.outer = normalize(outer)
-        self.inner = normalize(inner)
+        object.__setattr__(self, "outer", normalize(outer))
+        object.__setattr__(self, "inner", normalize(inner))
         if not contains(self.inner, self.outer):
             raise ValueError(f"inner shape {self.inner} not contained in {self.outer}")
-        self.rows = tuple(tuple(int(e) for e in row) for row in rows)
+        object.__setattr__(self, "rows", tuple(tuple(int(e) for e in row) for row in rows))
         if len(self.rows) != len(self.outer):
             raise ValueError("row count does not match the outer shape")
         for i, row in enumerate(self.rows):
@@ -51,6 +50,13 @@ class Tableau:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {want}")
             if any(e < 1 for e in row):
                 raise ValueError("entries must be positive integers")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tableau values are immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which the guard leaves open
+        return (Tableau, (self.outer, self.inner, self.rows))
 
     def cells(self):
         """Yield (row, column, entry) with 1-based column indices."""
@@ -274,27 +280,17 @@ class SignedPair(NamedTuple):
         return perm_sign(self.w)
 
 
-def _apply_perm(perm: Sequence[int], vec: Sequence[int]) -> tuple[int, ...]:
-    return tuple(vec[perm[i]] for i in range(len(perm)))
-
-
 def signed_lr_pairs(
     lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]
 ) -> list[SignedPair]:
     """All pairs (w, T): w permutes the staircase-shifted content of nu and T
     is a semistandard filling of lam/mu realizing that content."""
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    ell = len(nu)
-    rho = staircase(ell)
-    base = tuple(nu[i] + rho[i] for i in range(ell))
-    pairs: list[SignedPair] = []
-    for perm in itertools.permutations(range(ell)):
-        forced = tuple(_apply_perm(perm, base)[i] - rho[i] for i in range(ell))
-        if any(c < 0 for c in forced):
-            continue
-        for tab in enumerate_ssyt(lam, mu, max_entry=max(ell, 1), content=forced):
-            pairs.append(SignedPair(perm, tab))
-    return pairs
+    return [
+        SignedPair(perm, tab)
+        for perm, forced in _forced_contents(nu)
+        for tab in enumerate_ssyt(lam, mu, max_entry=max(len(nu), 1), content=forced)
+    ]
 
 
 def signed_lr_sum(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -304,14 +300,8 @@ def signed_lr_sum(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> i
     content contributes its full signed count.
     """
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    ell = len(nu)
-    rho = staircase(ell)
-    base = tuple(nu[i] + rho[i] for i in range(ell))
     total = 0
-    for perm in itertools.permutations(range(ell)):
-        forced = tuple(base[perm[i]] - rho[i] for i in range(ell))
-        if any(c < 0 for c in forced):
-            continue
+    for perm, forced in _forced_contents(nu):
         count = kostka(lam, mu, forced)
         if count:
             total += perm_sign(perm) * count

@@ -137,7 +137,7 @@ def suite_lr_oracle(bound: int, progress: Progress = None) -> SuiteResult:
                     checked += 1
                     got = multiply(SymFunc.element("s", mu), SymFunc.element("s", nu))
                     want = product_oracle(mu, nu, n)
-                    if got.terms != want:
+                    if got._terms != want:
                         failures.append(f"oracle mismatch: mu={mu}, nu={nu}")
     return SuiteResult("lr-oracle", checked, failures)
 
@@ -220,7 +220,7 @@ def suite_skew_jt(bound: int, progress: Progress = None) -> SuiteResult:
             if convert(skew_jacobi_trudi(lam, mu, "e"), "s") != dual:
                 failures.append(f"e determinant mismatch: lam={lam}, mu={mu}")
             checked += 1
-            weights = convert(target, "m").terms
+            weights = convert(target, "m")._terms
             expected = {
                 nu: v
                 for nu in partitions_of(size - sum(mu))

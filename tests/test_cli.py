@@ -38,6 +38,14 @@ def test_convert(capsys):
     assert code == 0 and out.strip() == "s[4,2] + 2*s[3,2,1]"
     code, out, _ = run(capsys, "convert", "s[2,1]", "--basis", "m")
     assert code == 0 and out.strip() == "m[2,1] + 2*m[1,1,1]"
+    code, out, _ = run(capsys, "convert", "2*s[3,2,1] + s[4,2]", "--basis", "h")
+    assert code == 0 and out == "h[5,1] + h[4,2] - 2*h[4,1,1] - 2*h[3,3] + 2*h[3,2,1]\n"
+    code, out, _ = run(capsys, "convert", "2*s[3,2,1] + s[4,2]", "--basis", "e")
+    assert code == 0 and out == (
+        "e[5,1] + e[4,2] - e[4,1,1] - 2*e[3,3] + 2*e[3,2,1] - e[3,1,1,1] - e[2,2,2] + e[2,2,1,1]\n"
+    )
+    code, out, _ = run(capsys, "convert", "s[1,1] - 3*s[2]", "--basis", "s")
+    assert code == 0 and out == "-3*s[2] + s[1,1]\n"
 
 
 def test_lr_and_kostka(capsys):
@@ -77,6 +85,12 @@ def test_eval(capsys):
     assert code == 0
     poly = SparsePoly.from_json(out)
     assert poly == SparsePoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    code, out, _ = run(capsys, "eval", "[2,1]", "--vars", "2", "--json")
+    assert code == 0 and out == (
+        '{"n": 2, "terms": [{"exps": [2, 1], "coeff": "1"}, {"exps": [1, 2], "coeff": "1"}]}\n'
+    )
+    code, out, _ = run(capsys, "eval", "[]", "--vars", "2", "--json")
+    assert code == 0 and out == '{"n": 2, "terms": [{"exps": [0, 0], "coeff": "1"}]}\n'
 
 
 def test_deterministic_output(capsys):

@@ -50,6 +50,33 @@ def test_sparse_poly_basics():
         p + SparsePoly.one(3)
 
 
+def test_sparse_poly_is_immutable():
+    p = SparsePoly(2, {(1, 0): 1})
+    with pytest.raises(AttributeError):
+        p.n = 3
+    with pytest.raises(TypeError):
+        p.terms[(0, 1)] = 5
+    assert p.terms == {(1, 0): 1}
+
+
+def test_sparse_poly_entries_are_exact_integers():
+    from fractions import Fraction
+
+    p = SparsePoly(2, {(1, 0): 1})
+    for bad in (1.5, 1.0, Fraction(1, 2), True):
+        with pytest.raises(TypeError):
+            SparsePoly(2, {(1, 0): bad})
+        with pytest.raises(TypeError):
+            SparsePoly(2, {(bad, 0): 1})
+        with pytest.raises(TypeError):
+            bad * p
+        with pytest.raises(TypeError):
+            p * bad
+    assert SparsePoly.from_json('{"n": 1, "terms": [{"exps": [2], "coeff": "-7"}]}') == (
+        SparsePoly.monomial(1, (2,), -7)
+    )
+
+
 def test_sparse_poly_text_and_json():
     p = SparsePoly(2, {(2, 0): 1, (1, 1): -2, (0, 0): 3})
     assert str(p) == "3 + x1^2 - 2*x1*x2"
@@ -57,6 +84,18 @@ def test_sparse_poly_text_and_json():
     assert data["n"] == 2
     assert SparsePoly.from_json(p.to_json()) == p
     assert str(SparsePoly.zero(2)) == "0"
+    q = SparsePoly(2, {(0, 0): -1, (1, 0): 2})
+    assert str(q) == "-1 + 2*x1"
+    assert repr(q) == "SparsePoly(2, -1 + 2*x1)"
+    assert q.to_json() == (
+        '{"n": 2, "terms": [{"exps": [0, 0], "coeff": "-1"}, {"exps": [1, 0], "coeff": "2"}]}'
+    )
+    assert str(SparsePoly(2, {(0, 0): 1})) == "1"
+    assert str(SparsePoly(2, {(0, 0): -5})) == "-5"
+    assert str(SparsePoly(3, {(0, 0, 0): -1, (2, 0, 1): -1, (0, 1, 0): 7})) == (
+        "-1 + 7*x2 - x1^2*x3"
+    )
+    assert str(SparsePoly(1, {(0,): 1, (3,): -1})) == "1 - x1^3"
 
 
 def test_eval_m_examples():

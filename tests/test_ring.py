@@ -55,6 +55,29 @@ def test_symfunc_is_immutable():
     f = s((2, 1))
     with pytest.raises(AttributeError):
         f.basis = "h"
+    before = hash(f)
+    with pytest.raises(TypeError):
+        f.terms[(1,)] = 5
+    assert f.terms == {(2, 1): 1} and hash(f) == before
+
+
+def test_symfunc_coefficients_are_exact_integers():
+    from fractions import Fraction
+
+    f = s((1,))
+    for bad in (2.7, 2.0, Fraction(1, 2), True):
+        with pytest.raises(TypeError):
+            SymFunc("s", {(1,): bad})
+        with pytest.raises(TypeError):
+            SymFunc.element("s", (1,), bad)
+        with pytest.raises(TypeError):
+            bad * f
+        with pytest.raises(TypeError):
+            f * bad
+    with pytest.raises(TypeError):
+        SymFunc.from_json_dict({"basis": "s", "terms": [{"partition": [1], "coeff": 1.5}]})
+    data = {"basis": "s", "terms": [{"partition": [1], "coeff": "12"}]}
+    assert SymFunc.from_json_dict(data) == s((1,), 12)
 
 
 def test_symfunc_arithmetic():
@@ -77,6 +100,14 @@ def test_symfunc_text_form():
     assert str(f) == "s[4,2] + 2*s[3,2,1]"
     assert str(SymFunc.zero("m")) == "0"
     assert str(SymFunc("h", {(2,): -1, (1, 1): 3})) == "-h[2] + 3*h[1,1]"
+    g = SymFunc("h", {(3, 1): -2, (2, 2): 1, (1,): -1})
+    assert str(g) == "-h[1] - 2*h[3,1] + h[2,2]"
+    assert repr(g) == "SymFunc(-h[1] - 2*h[3,1] + h[2,2])"
+    assert g.to_json() == (
+        '{"basis": "h", "terms": [{"partition": [1], "coeff": "-1"}, '
+        '{"partition": [3, 1], "coeff": "-2"}, {"partition": [2, 2], "coeff": "1"}]}'
+    )
+    assert str(SymFunc("e", {(): -4, (1,): 1})) == "-4*e[] + e[1]"
 
 
 def test_symfunc_json_round_trip():
@@ -272,8 +303,7 @@ def test_inverse_matrix_cold_start():
     # the cache lock, which must therefore be reentrant
     from schurkit import ring
 
-    with ring._cache_lock:
-        ring._cache.clear()
+    ring.clear_caches()
     f = SymFunc.element("m", (3, 2, 1))
     assert omega(omega(f)) == f
 
@@ -283,8 +313,7 @@ def test_concurrent_conversions():
 
     from schurkit import ring
 
-    with ring._cache_lock:
-        ring._cache.clear()
+    ring.clear_caches()
     results = []
 
     def work():

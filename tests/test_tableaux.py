@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -56,6 +58,16 @@ def test_tableau_json_round_trip():
     data = json.loads(json.dumps(t.to_json_dict()))
     assert Tableau.from_json_dict(data) == t
     assert data == {"outer": [3, 2], "inner": [1], "rows": [[1, 1], [2, 2]]}
+
+
+def test_tableau_is_immutable():
+    t = Tableau((2, 1), (), [(1, 1), (2,)])
+    before = hash(t)
+    for name, value in (("rows", ((1, 2), (2,))), ("outer", (3,)), ("inner", (1,))):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    assert t.rows == ((1, 1), (2,)) and hash(t) == before
+    assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
 
 
 def test_enumerate_ssyt_examples():
