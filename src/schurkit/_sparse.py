@@ -65,6 +65,10 @@ class SparseCombination:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor
+        return (type(self), (self._head, self._terms))
+
     @property
     def terms(self) -> Mapping:
         return MappingProxyType(self._terms)

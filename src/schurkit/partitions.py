@@ -25,9 +25,17 @@ def is_partition(seq: Sequence[int]) -> bool:
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
+def _ints(seq: Sequence[int], what: str) -> tuple[int, ...]:
+    """seq as a tuple of exact integers; anything else (float, bool) is a TypeError."""
+    out = tuple(seq)
+    if any(type(x) is not int for x in out):
+        raise TypeError(f"{what} must be int, got {out!r}")
+    return out
+
+
 def normalize(seq: Sequence[int]) -> Partition:
     """Canonical form of a partition: trailing zeros stripped; rejects non-partitions."""
-    parts = tuple(seq)
+    parts = _ints(seq, "partition parts")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if any(p <= 0 for p in parts) or any(
@@ -128,26 +136,48 @@ def horizontal_strips_within(
     base, bound = normalize(base), normalize(bound)
     if not contains(base, bound):
         return []
-    rows = len(bound)
+    return _strips(base, bound, size)
+
+
+def _strips(base: Partition, bound: Partition, size: Optional[int]) -> list[Partition]:
+    # trusted: canonical partitions with base inside bound.  A strip over
+    # base ends by row len(base) + 1, and only that row can come out 0.
+    rows = min(len(bound), len(base) + 1)
     out: list[Partition] = []
     # explicit stack; pushing values low..high makes the DFS emit larger
-    # shapes first, which is already the canonical order
+    # shapes first, which is the canonical order once the size is fixed
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
     while stack:
         row, used, prefix = stack.pop()
         if row == rows:
             if size is None or used == size:
-                out.append(normalize(prefix))
+                out.append(prefix[:-1] if prefix and not prefix[-1] else prefix)
             continue
         low = base[row] if row < len(base) else 0
-        high = bound[row]
-        if row >= 1:
-            high = min(high, base[row - 1] if row - 1 < len(base) else 0)
+        high = min(bound[row], base[row - 1]) if row else bound[0]
         if size is not None:
             high = min(high, low + size - used)
         for v in range(low, high + 1):
             stack.append((row + 1, used + v - low, prefix + (v,)))
-    return sorted(out, key=term_key)
+    return out if size is not None else sorted(out, key=term_key)
+
+
+def _strip_chains(
+    outer: Partition, inner: Partition, sizes: Sequence[Optional[int]]
+) -> Iterator[tuple[Partition, ...]]:
+    """Every chain inner = c_0 <= ... <= c_m = outer of horizontal strips, step t
+    of sizes[t - 1] boxes (any where None), depth first in canonical order.
+    Trusted: canonical partitions, inner inside outer."""
+    steps = len(sizes)
+    stack = [(inner,)]
+    while stack:
+        chain = stack.pop()
+        step = len(chain) - 1
+        if step == steps:
+            if chain[-1] == outer:
+                yield chain
+            continue
+        stack.extend(chain + (nxt,) for nxt in reversed(_strips(chain[-1], outer, sizes[step])))
 
 
 def horizontal_strip_extensions(
@@ -171,26 +201,12 @@ def horizontal_strip_extensions(
 
 
 def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:
-    """All mu <= lam with lam/mu a horizontal p-strip, canonical order."""
+    """All mu <= lam with lam/mu a horizontal p-strip, canonical order: the
+    mu with lam_{i+1} <= mu_i <= lam_i, i.e. the (lam_1 - p)-strips over lam[1:]."""
     lam = normalize(lam)
     if p < 0:
         raise ValueError("strip size must be nonnegative")
-    if p > sum(lam):
-        return []
-    rows = len(lam)
-    out: list[Partition] = []
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
-    while stack:
-        row, removed, prefix = stack.pop()
-        if row == rows:
-            if removed == p:
-                out.append(normalize(prefix))
-            continue
-        low = lam[row + 1] if row + 1 < rows else 0
-        low = max(low, lam[row] - (p - removed))
-        for v in range(low, lam[row] + 1):
-            stack.append((row + 1, removed + lam[row] - v, prefix + (v,)))
-    return sorted(out, key=term_key)
+    return horizontal_strips_within(lam[1:], lam, (lam[0] if lam else 0) - p)
 
 
 def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .partitions import (
     Partition,
-    contains,
+    _ints,
+    _strip_chains,
     conjugate,
+    contains,
     horizontal_strip_extensions,
     horizontal_strip_reductions,
-    horizontal_strips_within,
     normalize,
     pad,
     partitions_of,
@@ -41,6 +42,8 @@ class SparsePoly(SparseCombination):
 
     @staticmethod
     def _check_head(n) -> None:
+        if type(n) is not int:
+            raise TypeError(f"variable count must be int, got {n!r}")
         if n < 0:
             raise ValueError("variable count must be nonnegative")
 
@@ -208,7 +211,7 @@ def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
 
 def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
     """Product of complete homogeneous functions indexed by beta."""
-    key = tuple(sorted((int(b) for b in beta if b), reverse=True))
+    key = tuple(sorted((b for b in _ints(beta, "h indices") if b), reverse=True))
     if any(b < 0 for b in key):
         return SparsePoly.zero(n)
     return _h_monomial(key, n)
@@ -218,19 +221,9 @@ def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
 def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
     if not contains(mu, lam):
         return SparsePoly.zero(n)
-
-    def chains():
-        stack: list[tuple[int, Partition, tuple[int, ...]]] = [(0, mu, ())]
-        while stack:
-            step, shape, exps = stack.pop()
-            if step == n:
-                if shape == lam:
-                    yield exps, 1
-                continue
-            for nxt in horizontal_strips_within(shape, lam):
-                stack.append((step + 1, nxt, exps + (sum(nxt) - sum(shape),)))
-
-    return SparsePoly._trusted(n, accumulate(chains()))
+    # step i of a chain adds the boxes that x_i counts
+    sizes = (list(map(sum, chain)) for chain in _strip_chains(lam, mu, (None,) * n))
+    return SparsePoly._trusted(n, accumulate((tuple(map(sub, s[1:], s)), 1) for s in sizes))
 
 
 def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> SparsePoly:
@@ -268,7 +261,7 @@ def eval_sym_func(f, n: int) -> SparsePoly:
 def alternant(alpha: Sequence[int], n: int) -> SparsePoly:
     """The antisymmetrized monomial: sum of sign(w) x^{w(alpha)} over all
     permutations w of the n variables."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _ints(alpha, "exponents")
     if any(a < 0 for a in alpha):
         raise ValueError("alternant exponents must be nonnegative")
     if len(alpha) > n:

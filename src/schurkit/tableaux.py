@@ -13,8 +13,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .partitions import (
     Partition,
+    _ints,
+    _strip_chains,
+    _strips,
     contains,
-    horizontal_strips_within,
     normalize,
     pad,
 )
@@ -41,7 +43,7 @@ class Tableau:
         object.__setattr__(self, "inner", normalize(inner))
         if not contains(self.inner, self.outer):
             raise ValueError(f"inner shape {self.inner} not contained in {self.outer}")
-        object.__setattr__(self, "rows", tuple(tuple(int(e) for e in row) for row in rows))
+        object.__setattr__(self, "rows", tuple(_ints(row, "tableau entries") for row in rows))
         if len(self.rows) != len(self.outer):
             raise ValueError("row count does not match the outer shape")
         for i, row in enumerate(self.rows):
@@ -50,6 +52,14 @@ class Tableau:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {want}")
             if any(e < 1 for e in row):
                 raise ValueError("entries must be positive integers")
+
+    @classmethod
+    def _trusted(cls, outer: Partition, inner: Partition, rows: tuple) -> "Tableau":
+        """A tableau over canonical shapes and rows that already fit them."""
+        out = object.__new__(cls)
+        for name, value in (("outer", outer), ("inner", inner), ("rows", rows)):
+            object.__setattr__(out, name, value)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Tableau values are immutable")
@@ -152,7 +162,7 @@ def _chain_to_tableau(
             cur = chain[t][i] if i < len(chain[t]) else 0
             row.extend([t] * (cur - prev))
         rows.append(tuple(row))
-    return Tableau(outer, inner, rows)
+    return Tableau._trusted(outer, inner, tuple(rows))
 
 
 def enumerate_ssyt(
@@ -172,9 +182,9 @@ def enumerate_ssyt(
         raise ValueError(f"inner shape {inner} not contained in {outer}")
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1")
-    sizes: list[Optional[int]]
+    sizes: tuple[Optional[int], ...]
     if content is not None:
-        content = tuple(int(c) for c in content)
+        content = _ints(content, "content")
         if any(c < 0 for c in content):
             return []
         while content and content[-1] == 0:
@@ -183,22 +193,10 @@ def enumerate_ssyt(
             return []
         if sum(content) != sum(outer) - sum(inner):
             return []
-        sizes = list(content) + [0] * (max_entry - len(content))
+        sizes = content + (0,) * (max_entry - len(content))
     else:
-        sizes = [None] * max_entry
-
-    results: list[Tableau] = []
-    stack: list[tuple[int, tuple[Partition, ...]]] = [(0, (inner,))]
-    while stack:
-        step, chain = stack.pop()
-        shape = chain[-1]
-        if step == max_entry:
-            if shape == outer:
-                results.append(_chain_to_tableau(outer, inner, chain))
-            continue
-        for nxt in reversed(horizontal_strips_within(shape, outer, sizes[step])):
-            stack.append((step + 1, chain + (nxt,)))
-    return results
+        sizes = (None,) * max_entry
+    return [_chain_to_tableau(outer, inner, chain) for chain in _strip_chains(outer, inner, sizes)]
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +204,7 @@ def _kostka_chains(outer: Partition, inner: Partition, content: tuple[int, ...])
     if not content:
         return 1 if outer == inner else 0
     total = 0
-    for shape in horizontal_strips_within(inner, outer, content[0]):
+    for shape in _strips(inner, outer, content[0]):
         total += _kostka_chains(outer, shape, content[1:])
     return total
 
@@ -218,7 +216,7 @@ def kostka(outer: Sequence[int], inner: Sequence[int], alpha: Sequence[int]) -> 
     shape itself is empty of meaning (inner not contained in outer).
     """
     outer, inner = normalize(outer), normalize(inner)
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _ints(alpha, "content")
     if any(a < 0 for a in alpha):
         return 0
     if not contains(inner, outer):

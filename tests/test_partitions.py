@@ -11,6 +11,7 @@ from schurkit.partitions import (
     format_partition,
     horizontal_strip_extensions,
     horizontal_strip_reductions,
+    horizontal_strips_within,
     is_horizontal_strip,
     is_partition,
     is_vertical_strip,
@@ -51,6 +52,11 @@ def test_normalize_strips_zeros_and_validates():
         normalize((1, 2))
     with pytest.raises(ValueError):
         normalize((2, -1))
+    for bad in ((2.5,), (2.0,), (True,), (3, 1.0)):
+        with pytest.raises(TypeError):
+            normalize(bad)
+        with pytest.raises(TypeError):
+            horizontal_strips_within((), bad)
 
 
 def test_is_partition():
@@ -137,6 +143,16 @@ def test_horizontal_strip_reductions_examples():
     assert horizontal_strip_reductions((2,), 1) == [(1,)]
     assert set(horizontal_strip_reductions((2, 1), 1)) == {(2,), (1, 1)}
     assert horizontal_strip_reductions((2, 2), 1) == [(2, 1)]
+    assert horizontal_strip_reductions((), 0) == [()]
+    assert horizontal_strip_reductions((), 1) == []
+    # the brute-force filter, order included
+    for k in range(7):
+        for lam in partitions_of(k):
+            subs = subpartitions(lam)
+            for p in range(k + 2):
+                assert horizontal_strip_reductions(lam, p) == [
+                    mu for mu in subs if is_horizontal_strip(mu, lam) and k - sum(mu) == p
+                ]
 
 
 def test_extensions_and_reductions_are_adjoint():
@@ -147,6 +163,19 @@ def test_extensions_and_reductions_are_adjoint():
                     assert lam in horizontal_strip_extensions(mu, p)
                 for mu in horizontal_strip_extensions(lam, p):
                     assert lam in horizontal_strip_reductions(mu, p)
+    # both sides run on the one strip walker: pin it, order included, to the
+    # is_horizontal_strip filter over every base <= bound and every size
+    for k in range(7):
+        for bound in partitions_of(k):
+            subs = subpartitions(bound)
+            for base in subs:
+                for size in [None, *range(-1, k + 2)]:
+                    assert horizontal_strips_within(base, bound, size) == [
+                        sigma
+                        for sigma in subs
+                        if is_horizontal_strip(base, sigma)
+                        and (size is None or sum(sigma) - sum(base) == size)
+                    ]
 
 
 def test_extensions_really_are_strips():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -57,6 +59,14 @@ def test_sparse_poly_is_immutable():
     with pytest.raises(TypeError):
         p.terms[(0, 1)] = 5
     assert p.terms == {(1, 0): 1}
+    for q in (p, SparsePoly.one(2), SparsePoly.zero(0), SparsePoly(1, {(3,): -4})):
+        assert pickle.loads(pickle.dumps(q)) == q and copy.deepcopy(q) == q
+    # the variable count is an exact integer too
+    for bad in (2.0, True):
+        with pytest.raises(TypeError):
+            SparsePoly(bad, {(1, 0): 1})
+        with pytest.raises(TypeError):
+            eval_h(2, bad)
 
 
 def test_sparse_poly_entries_are_exact_integers():
@@ -75,6 +85,13 @@ def test_sparse_poly_entries_are_exact_integers():
     assert SparsePoly.from_json('{"n": 1, "terms": [{"exps": [2], "coeff": "-7"}]}') == (
         SparsePoly.monomial(1, (2,), -7)
     )
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(TypeError):
+            eval_h_monomial((2, bad), 2)
+        with pytest.raises(TypeError):
+            alternant((bad, 0), 2)
+        with pytest.raises(TypeError):
+            eval_s_tableau((bad,), (), 2)
 
 
 def test_sparse_poly_text_and_json():

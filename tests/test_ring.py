@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,9 @@ def test_symfunc_is_immutable():
     with pytest.raises(TypeError):
         f.terms[(1,)] = 5
     assert f.terms == {(2, 1): 1} and hash(f) == before
+    for g in (f, SymFunc.element("s", (1,)), SymFunc("h", {(3, 1): -2, (): 5})):
+        assert pickle.loads(pickle.dumps(g)) == g and copy.deepcopy(g) == g
+        assert hash(copy.copy(g)) == hash(g)
 
 
 def test_symfunc_coefficients_are_exact_integers():
@@ -76,6 +81,9 @@ def test_symfunc_coefficients_are_exact_integers():
             f * bad
     with pytest.raises(TypeError):
         SymFunc.from_json_dict({"basis": "s", "terms": [{"partition": [1], "coeff": 1.5}]})
+    for bad in ((2.5,), (2.0,), (True,)):
+        with pytest.raises(TypeError):
+            SymFunc("s", {bad: 1})
     data = {"basis": "s", "terms": [{"partition": [1], "coeff": "12"}]}
     assert SymFunc.from_json_dict(data) == s((1,), 12)
 

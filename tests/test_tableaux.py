@@ -68,6 +68,38 @@ def test_tableau_is_immutable():
             setattr(t, name, value)
     assert t.rows == ((1, 1), (2,)) and hash(t) == before
     assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
+    # entries, shapes and contents are exact integers, never truncated
+    for bad in (1.7, 1.0, True):
+        with pytest.raises(TypeError):
+            Tableau((1,), (), [(bad,)])
+        with pytest.raises(TypeError):
+            Tableau((bad,), (), [(1,)])
+        with pytest.raises(TypeError):
+            kostka((2, 1), (), (bad, 2))
+        with pytest.raises(TypeError):
+            enumerate_ssyt((2, 1), (), 2, content=(2, bad))
+
+
+def test_chain_walk_validates_only_at_the_boundary(monkeypatch):
+    # the walkers trust the shapes they build; re-validating per strip or
+    # per tableau would cost thousands of normalize calls here
+    from schurkit import partitions, tableaux
+
+    calls = []
+    real = partitions.normalize
+
+    def counting(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(partitions, "normalize", counting)
+    monkeypatch.setattr(tableaux, "normalize", counting)
+    tableaux.clear_caches()
+    assert len(enumerate_ssyt((4, 3, 2, 1), (), 4)) == 64
+    assert len(calls) <= 4
+    calls.clear()
+    assert kostka((5, 3, 1), (), (3, 3, 2, 1)) == 7
+    assert len(calls) <= 4
 
 
 def test_enumerate_ssyt_examples():
