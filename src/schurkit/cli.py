@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .partitions import format_partition, parse_composition, parse_partition
 from .polyval import eval_s_tableau
 from .ring import BASES, SymFunc, convert, multiply, skew_schur
-from .tableaux import enumerate_ssyt, kostka, lr_tableaux
+from .tableaux import enumerate_ssyt, kostka, lr_coefficient, lr_tableaux
 from .verification import ACCEPTANCE_BOUNDS, SUITES, run_suite
 
 DEFAULT_MAX_DEGREE = 20
@@ -126,8 +126,8 @@ def _cmd_lr(args) -> int:
     mu = parse_partition(args.inner)
     nu = parse_partition(args.content)
     _check_cap(sum(lam), f"partition {format_partition(lam)}")
-    witnesses = lr_tableaux(lam, mu, nu)
-    _print_count(len(witnesses), witnesses if args.witnesses else None, args.json)
+    witnesses = lr_tableaux(lam, mu, nu) if args.witnesses else None
+    _print_count(lr_coefficient(lam, mu, nu), witnesses, args.json)
     return 0
 
 

@@ -16,8 +16,11 @@ Partition = tuple[int, ...]
 
 
 def is_partition(seq: Sequence[int]) -> bool:
-    """True if seq, after dropping trailing zeros, weakly decreases through positive values."""
+    """True if seq holds ints only and, after dropping trailing zeros, weakly
+    decreases through positive values."""
     parts = tuple(seq)
+    if any(type(p) is not int for p in parts):
+        return False
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if any(p <= 0 for p in parts):
@@ -108,12 +111,14 @@ def is_horizontal_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
     Equivalent to the interleaving condition outer_{i+1} <= inner_i for all i.
     """
     inner, outer = normalize(inner), normalize(outer)
-    if not contains(inner, outer):
-        return False
-    for i in range(1, len(outer)):
-        if outer[i] > (inner[i - 1] if i - 1 < len(inner) else 0):
-            return False
-    return True
+    return contains(inner, outer) and _interleaves(inner, outer)
+
+
+def _interleaves(inner: Partition, outer: Partition) -> bool:
+    # trusted: canonical partitions with inner inside outer
+    return all(
+        outer[i] <= (inner[i - 1] if i <= len(inner) else 0) for i in range(1, len(outer))
+    )
 
 
 def is_vertical_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
@@ -169,13 +174,20 @@ def _strip_chains(
     of sizes[t - 1] boxes (any where None), depth first in canonical order.
     Trusted: canonical partitions, inner inside outer."""
     steps = len(sizes)
+    total = sum(outer)
     stack = [(inner,)]
     while stack:
         chain = stack.pop()
         step = len(chain) - 1
-        if step == steps:
+        if step == steps:  # only with no steps at all
             if chain[-1] == outer:
                 yield chain
+            continue
+        if step == steps - 1:
+            # the last strip can only end at outer: test it, list nothing
+            base, size = chain[-1], sizes[step]
+            if (size is None or total - sum(base) == size) and _interleaves(base, outer):
+                yield chain + (outer,)
             continue
         stack.extend(chain + (nxt,) for nxt in reversed(_strips(chain[-1], outer, sizes[step])))
 

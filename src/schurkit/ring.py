@@ -29,7 +29,7 @@ from .partitions import (
 )
 from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, straighten
-from .tableaux import kostka, lr_coefficient
+from .tableaux import _lr_fillings, kostka, lr_coefficient
 
 BASES = ("s", "h", "e", "m")
 
@@ -248,12 +248,12 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     def pairs():
         for mu, a in fs._terms.items():
             for nu, b in gs._terms.items():
-                for lam in partitions_of(sum(mu) + sum(nu)):
-                    if not contains(mu, lam):
-                        continue
-                    c = lr_coefficient(lam, mu, nu)
-                    if c:
-                        yield lam, a * b * c
+                # every lam with c^lam_{mu nu} != 0 has lam_1 <= mu_1 + nu_1
+                # and at most l(mu) + l(nu) rows
+                width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
+                box = (width,) * (len(mu) + len(nu))
+                for lam, c in _lr_fillings(mu, nu, box).items():
+                    yield lam, a * b * c
 
     return SymFunc._trusted("s", accumulate(pairs()))
 

@@ -4,6 +4,13 @@ Littlewood-Richardson rule with its sign-reversing involution.
 Tableaux are enumerated as chains of horizontal strips: a filling with
 entries at most m is the same thing as a chain of m nested shapes where the
 i-th step adds the boxes holding entry i.
+
+LR coefficients are counted on the same chains without building tableaux:
+`_lr_fillings` keeps only the strips whose row counts satisfy the lattice
+condition and merges walks that reach the same state.  `lr_tableaux` (build
+every filling, keep the lattice ones), `signed_lr_sum` (the alternating
+Kostka sum) and `polyval.product_oracle` (peeling actual polynomials) stay
+independent of it, as its checks.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+from ._sparse import accumulate
 from .partitions import (
     Partition,
     _ints,
@@ -257,9 +265,51 @@ def lr_tableaux(
     return [t for t in cands if is_lr_tableau(t)]
 
 
+def _lr_fillings(mu: Partition, nu: Partition, bound: Partition) -> dict[Partition, int]:
+    """Count the LR fillings of every lam/mu inside bound with content nu:
+    {lam: c^lam_{mu nu}} over the lam that have one.
+
+    Entry i is placed as a horizontal nu_i-strip, and a strip is kept only
+    if it meets the lattice condition against the per-row counts of entry
+    i - 1.  Walks sharing a shape and the last entry's row counts are
+    merged with their multiplicities.  Trusted: canonical partitions, mu
+    inside bound.
+    """
+    states = {(mu, None): 1}
+    for size in nu:
+        states = accumulate(
+            ((shape, counts), ways)
+            for (base, prev), ways in states.items()
+            for shape in _strips(base, bound, size)
+            if (counts := _lattice_counts(base, shape, prev)) is not None
+        )
+    return accumulate((shape, ways) for (shape, _), ways in states.items())
+
+
+def _lattice_counts(
+    base: Partition, shape: Partition, prev: Optional[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
+    """Per-row box counts of the strip shape/base, or None when, as entry i
+    after the entry-(i - 1) counts prev, it breaks the lattice condition: in
+    every row r, the i's in rows <= r are at most the (i - 1)'s in rows < r
+    (the reverse reading word is a lattice word).  prev None: entry 1."""
+    counts = tuple(v - base[r] if r < len(base) else v for r, v in enumerate(shape))
+    if prev is not None:
+        room = 0
+        for r, c in enumerate(counts):
+            room -= c
+            if room < 0:
+                return None
+            if r < len(prev):
+                room += prev[r]
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return len(lr_tableaux(lam, mu, nu))
+    if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
+        return 0
+    return _lr_fillings(mu, nu, lam).get(lam, 0)
 
 
 def lr_coefficient(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:

@@ -65,6 +65,10 @@ def test_is_partition():
     assert is_partition((2, 0))
     assert not is_partition((1, 2))
     assert not is_partition((2, -1))
+    # parts must be exact integers, as normalize demands
+    assert not is_partition((2.5,))
+    assert not is_partition((True,))
+    assert not is_partition((2.0, 1))
 
 
 def test_conjugate_examples():

@@ -1,12 +1,13 @@
 import copy
 import json
+import math
 import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from schurkit.partitions import conjugate, partitions_of, subpartitions
+from schurkit.partitions import conjugate, contains, partitions_of, subpartitions
 from schurkit.ring import (
     BasisMismatchError,
     SymFunc,
@@ -23,7 +24,7 @@ from schurkit.ring import (
     skew_mirror_check,
     skew_schur,
 )
-from schurkit.tableaux import kostka, lr_coefficient
+from schurkit.tableaux import kostka, lr_coefficient, lr_tableaux
 
 
 def s(lam, c=1):
@@ -181,6 +182,55 @@ def test_multiply_commutes_and_associates_on_sample():
         fg = multiply(f, g)
         assert fg == multiply(g, f)
         assert multiply(fg, h) == multiply(f, multiply(g, h))
+
+
+def test_multiply_matches_lr_tableau_counts():
+    # the lattice walk against filtered tableaux, for every pair of degree <= 8
+    pool = [lam for k in range(9) for lam in partitions_of(k)]
+    for mu in pool:
+        for nu in pool:
+            k = sum(mu) + sum(nu)
+            if k > 8:
+                continue
+            expected = {}
+            for lam in partitions_of(k):
+                if contains(mu, lam) and (c := len(lr_tableaux(lam, mu, nu))):
+                    expected[lam] = c
+            assert multiply(s(mu), s(nu)) == SymFunc("s", expected)
+            assert multiply(s(nu), s(mu)) == SymFunc("s", expected)
+
+
+def test_lr_counts_build_no_tableaux(monkeypatch):
+    from schurkit import tableaux
+    from schurkit.tableaux import Tableau
+
+    built = []
+    trusted = Tableau._trusted.__func__
+    enumerate_ssyt = tableaux.enumerate_ssyt
+
+    def counting_trusted(cls, *args):
+        built.append(args)
+        return trusted(cls, *args)
+
+    def counting_enumerate(*args, **kwargs):
+        built.append(args)
+        return enumerate_ssyt(*args, **kwargs)
+
+    monkeypatch.setattr(Tableau, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(tableaux, "enumerate_ssyt", counting_enumerate)
+    tableaux.clear_caches()
+    ones = (1,) * 8
+    assert multiply(s((3, 1)), s(ones)) == SymFunc(
+        "s",
+        {
+            (4, 2) + ones[:6]: 1,
+            (4,) + ones: 1,
+            (3, 2) + ones[:7]: 1,
+            (3,) + ones + (1,): 1,
+        },
+    )
+    assert lr_coefficient((4, 3, 2, 1, 1, 1), (3, 1), ones) == 0
+    assert built == []
 
 
 def test_convert_examples():
@@ -361,6 +411,39 @@ def test_omega_involutive_random(f):
 def test_conversion_round_trip_random(f):
     for basis in ("h", "m", "e"):
         assert convert(convert(f, basis), "s") == f
+
+
+def hook_length_count(lam):
+    """Standard tableaux of shape lam: |lam|! over the product of hook lengths."""
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            leg = sum(1 for below in lam[i + 1 :] if below > j)
+            hooks *= row - j + leg
+    quotient, remainder = divmod(math.factorial(sum(lam)), hooks)
+    assert remainder == 0
+    return quotient
+
+
+_partitions_to_10 = [lam for k in range(11) for lam in partitions_of(k)]
+
+
+@st.composite
+def factor_pair_strategy(draw):
+    mu = draw(st.sampled_from(_partitions_to_10))
+    nu = draw(st.sampled_from([lam for lam in _partitions_to_10 if sum(lam) <= 10 - sum(mu)]))
+    return mu, nu
+
+
+@given(factor_pair_strategy())
+def test_multiply_standard_tableau_count_random(pair):
+    # sum_lam c^lam_{mu nu} f^lam = C(|mu| + |nu|, |mu|) f^mu f^nu: a standard
+    # filling of lam restricts to one of mu and one of lam/mu, shuffled
+    mu, nu = pair
+    product = multiply(s(mu), s(nu))
+    total = sum(c * hook_length_count(lam) for lam, c in product.terms.items())
+    shuffles = math.comb(sum(mu) + sum(nu), sum(mu))
+    assert total == shuffles * hook_length_count(mu) * hook_length_count(nu)
 
 
 @given(symfunc_strategy(), symfunc_strategy())

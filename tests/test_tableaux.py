@@ -175,6 +175,7 @@ def test_lr_symmetry_and_conjugation():
 
     for lam, mu, nu in all_skew_triples(8):
         c = lr_coefficient(lam, mu, nu)
+        assert c == len(lr_tableaux(lam, mu, nu))
         assert c == lr_coefficient(lam, nu, mu)
         assert c == lr_coefficient(conjugate(lam), conjugate(mu), conjugate(nu))
 
