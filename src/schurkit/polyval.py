@@ -24,6 +24,7 @@ from .partitions import (
     normalize,
     pad,
     partitions_of,
+    term_key,
 )
 from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, perm_sign, staircase
@@ -39,6 +40,7 @@ class SparsePoly(SparseCombination):
     __slots__ = ()
     _head_name = "n"
     _key_name = "exps"
+    _sort_key = staticmethod(term_key)
 
     @staticmethod
     def _check_head(n) -> None:
@@ -54,10 +56,6 @@ class SparsePoly(SparseCombination):
         if len(exps) != self._head or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps!r} for {self._head} variables")
         return exps
-
-    @staticmethod
-    def _sort_key(exps: tuple[int, ...]):
-        return (sum(exps), tuple(-x for x in exps))
 
     @staticmethod
     def _body(exps: tuple[int, ...]) -> str:

@@ -276,13 +276,18 @@ def omega(f: SymFunc) -> SymFunc:
 
 def skew_schur(lam: Sequence[int], mu: Sequence[int]) -> SymFunc:
     """The skew function of lam/mu as a Schur-basis expansion: the nu-th
-    coefficient is the LR count of fillings of lam/mu with content nu."""
+    coefficient is the LR count of fillings of lam/mu with content nu, which
+    is 0 unless nu fits inside lam."""
     lam, mu = normalize(lam), normalize(mu)
     if not contains(mu, lam):
         return SymFunc.zero("s")
     return SymFunc._trusted(
         "s",
-        {nu: c for nu in partitions_of(sum(lam) - sum(mu)) if (c := lr_coefficient(lam, mu, nu))},
+        {
+            nu: c
+            for nu in partitions_of(sum(lam) - sum(mu))
+            if contains(nu, lam) and (c := lr_coefficient(lam, mu, nu))
+        },
     )
 
 

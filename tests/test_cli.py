@@ -107,6 +107,7 @@ def test_parse_errors_exit_2(capsys):
     assert run(capsys, "convert", "garbage")[0] == 2
     assert run(capsys, "lr", "[2,3]", "[]", "[1]")[0] == 2
     assert run(capsys, "verify", "nosuch", "3")[0] == 2
+    assert run(capsys, "verify", "mirror", "-1") == (2, "", "error: bound must be nonnegative\n")
     assert run(capsys, "nosuchcommand")[0] == 2
 
 
@@ -126,6 +127,54 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL")
     assert "nonzero" in err
+
+
+# check counts of every suite at bound 4, one per verdict
+SUITE_CHECKS_AT_4 = {
+    "bialternant": 185,
+    "cauchy": 40,
+    "duality": 88,
+    "kostka": 49,
+    "lr-oracle": 38,
+    "lr-signed": 199,
+    "mirror": 240,
+    "newton": 4,
+    "pieri": 120,
+    "reduction": 48,
+    "skew-jt": 232,
+}
+
+
+def test_run_suite_counts_every_check():
+    assert sorted(verification.SUITES) == sorted(SUITE_CHECKS_AT_4)
+    for name, checks in SUITE_CHECKS_AT_4.items():
+        result = verification.run_suite(name, 4)
+        assert (result.name, result.checked, result.failures) == (name, checks, [])
+
+
+def test_run_suite_collects_every_failure_in_order(monkeypatch):
+    monkeypatch.setattr(verification, "bialternant_check", lambda lam, n: n != 4)
+    monkeypatch.setattr(verification, "alternant_pieri_check", lambda lam, r, n: r != 1)
+    result = verification.run_suite("bialternant", 1)
+    assert result.checked == 40 and not result.ok
+    expected = []
+    for lam in ("()", "(1,)"):
+        expected += [f"alternant strip fails: lam={lam}, r=1, n={n}" for n in (1, 2, 3)]
+        expected += [
+            f"bialternant fails: lam={lam}, n=4",
+            f"alternant strip fails: lam={lam}, r=1, n=4",
+        ]
+    assert result.failures == expected
+
+
+def test_run_suite_reports_a_fixed_involution(monkeypatch):
+    monkeypatch.setattr(verification, "bz_involution", lambda pair, nu: pair)
+    result = verification.run_suite("lr-signed", 3)
+    assert result.checked == 49 and len(result.failures) == 16
+    assert all(f.startswith("involution has a fixed point: ") for f in result.failures)
+    assert result.failures[0] == (
+        "involution has a fixed point: SignedPair(w=(0, 1), tableau=Tableau(1 2)) in (2,)/()"
+    )
 
 
 def test_degree_cap(capsys, monkeypatch):

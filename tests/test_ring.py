@@ -299,6 +299,27 @@ def test_skew_schur_examples():
     assert skew_schur((1,), (2,)) == SymFunc.zero("s")
 
 
+def test_skew_schur_walks_only_contents_inside_lam(monkeypatch):
+    from schurkit import tableaux
+
+    walks = []
+    lr_fillings = tableaux._lr_fillings
+
+    def counting_fillings(*args):
+        walks.append(args)
+        return lr_fillings(*args)
+
+    monkeypatch.setattr(tableaux, "_lr_fillings", counting_fillings)
+    tableaux.clear_caches()
+    lam, mu = (6, 5, 4, 3, 2, 1), (3, 2, 1)
+    result = skew_schur(lam, mu)
+    # 43 of the 176 partitions of 15 fit inside lam; the others have c = 0
+    assert len(walks) == len(result) == 43
+    every_nu = {nu: c for nu in partitions_of(15) if (c := lr_coefficient(lam, mu, nu))}
+    assert result == SymFunc("s", every_nu)
+    tableaux.clear_caches()
+
+
 def test_skew_jacobi_trudi_examples():
     assert skew_jacobi_trudi((2, 1), (1,), "h") == SymFunc("h", {(1, 1): 1})
     # empty inner shape reduces to the straight determinant expansion
