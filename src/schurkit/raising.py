@@ -94,15 +94,30 @@ def adjacent_swap_identity_check(
 def _forced_contents(alpha: Sequence[int], mu: Sequence[int] = ()):
     """Each permutation w of the working length, max(len(alpha), len(mu)),
     whose index vector w(alpha + staircase) - staircase - mu is nonnegative,
-    paired with that vector."""
+    paired with that vector, in the lexicographic order of w.
+
+    Depth first over the slots: slot j takes an unused i only while its
+    entry shifted[i] - rho[j] - mu[j] stays nonnegative, so no branch grows
+    past its first negative entry.  Trying i in increasing order keeps the
+    order of filtering itertools.permutations.
+    """
     ell = max(len(alpha), len(mu))
     alpha, mu = pad(alpha, ell), pad(mu, ell)
     rho = staircase(ell)
     shifted = tuple(alpha[i] + rho[i] for i in range(ell))
-    for perm in itertools.permutations(range(ell)):
-        idx = tuple(shifted[perm[j]] - rho[j] - mu[j] for j in range(ell))
-        if all(v >= 0 for v in idx):
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    while stack:
+        perm, idx = stack.pop()
+        j = len(perm)
+        if j == ell:
             yield perm, idx
+            continue
+        floor = rho[j] + mu[j]
+        stack.extend(
+            (perm + (i,), idx + (shifted[i] - floor,))
+            for i in range(ell - 1, -1, -1)
+            if shifted[i] >= floor and i not in perm
+        )
 
 
 def jacobi_trudi_expand(

@@ -4,8 +4,11 @@ Elements are sparse integer combinations of partitions, tagged with one of
 four bases: s (Schur), h (complete homogeneous), e (elementary), m
 (monomial).  Products are computed natively in the Schur basis through
 Littlewood-Richardson coefficients; the other bases route through s.  Basis
-changes are exact integer transforms assembled degree by degree from the
-Kostka matrix and its forward-substitution inverse, both cached.
+changes are exact integer transforms computed one term at a time, each
+through s: h and e into s by Pieri's rule, s into m by counting tableau
+chains, s into h and e by the Jacobi-Trudi determinant, and m into s by
+forward substitution over one dominance interval.  The whole-degree Kostka
+matrix and its inverse are kept as their check side.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
     Partition,
+    _strips,
     compositions_of,
     conjugate,
     contains,
+    dominates,
     format_partition,
     horizontal_strip_extensions,
     horizontal_strip_reductions,
@@ -29,7 +34,7 @@ from .partitions import (
 )
 from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, straighten
-from .tableaux import _lr_fillings, kostka, lr_coefficient
+from .tableaux import _kostka_chains, _lr_fillings, kostka, lr_coefficient
 
 BASES = ("s", "h", "e", "m")
 
@@ -103,11 +108,12 @@ class SymFunc(SparseCombination):
 
 
 # ---------------------------------------------------------------------------
-# transition matrices, cached per degree
+# transition data: whole-degree matrices and per-term rows and columns
 #
 # The cache is shared state; the lock gives compute-once semantics under
-# concurrent access.  It must be reentrant: building the inverse matrix
-# recurses into the forward matrix under the same lock.
+# concurrent access.  It must be reentrant: a build recurses into other
+# entries under the same lock (the inverse matrix into the forward one, a
+# Pieri column into the column of its prefix).
 
 _cache_lock = threading.RLock()
 _cache: dict = {}
@@ -126,13 +132,17 @@ def _memo(key, build):
 
 def kostka_matrix(k: int) -> dict[Partition, dict[Partition, int]]:
     """All Kostka numbers in degree k: matrix[lam][mu] counts tableaux of
-    straight shape lam and content mu.  Nonzero only when lam dominates mu."""
+    straight shape lam and content mu.  Nonzero only when lam dominates mu.
+
+    Assembled from the Pieri columns of `_h_in_s`; the tableau-chain count
+    `tableaux.kostka` stays its independent check.
+    """
 
     def build():
         parts = partitions_of(k)
+        columns = {mu: _h_in_s(mu) for mu in parts}
         return {
-            lam: {mu: v for mu in parts if (v := kostka(lam, (), mu))}
-            for lam in parts
+            lam: {mu: v for mu in parts if (v := columns[mu].get(lam))} for lam in parts
         }
 
     return _memo(("kostka", k), build)
@@ -164,6 +174,73 @@ def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
     return _memo(("kostka-inv", k), build)
 
 
+# ---------------------------------------------------------------------------
+# basis changes, one row or column per term
+#
+# Each route expands one basis element and is memoised per partition in
+# _cache, so a conversion costs only the terms it touches.  The whole-degree
+# matrices above are never built on these routes; the tests play the two
+# against each other.
+
+
+def _h_in_s(mu: Partition) -> dict[Partition, int]:
+    """The Schur expansion {lam: K_{lam mu}} of h_mu: Pieri's rule adds one
+    horizontal mu_i-strip per part, memoised on the prefixes of mu."""
+
+    def build():
+        if not mu:
+            return {(): 1}
+        k = sum(mu)
+        box = (k,) * k
+        return accumulate(
+            (shape, c)
+            for base, c in _h_in_s(mu[:-1]).items()
+            for shape in _strips(base, box, mu[-1])
+        )
+
+    return _memo(("h-in-s", mu), build)
+
+
+def _s_in_m(lam: Partition) -> dict[Partition, int]:
+    """The monomial expansion {mu: K_{lam mu}} of s_lam, over mu below lam in
+    dominance, by the memoised tableau-chain count."""
+
+    def build():
+        return {
+            mu: v
+            for mu in partitions_of(sum(lam))
+            if dominates(lam, mu) and (v := _kostka_chains(lam, (), mu))
+        }
+
+    return _memo(("s-in-m", lam), build)
+
+
+def _s_in_h(lam: Partition) -> dict[Partition, int]:
+    """The h-expansion of s_lam: the Jacobi-Trudi determinant, expanded."""
+    return _memo(("s-in-h", lam), lambda: jacobi_trudi_expand(lam))
+
+
+def _m_in_s(mu: Partition) -> dict[Partition, int]:
+    """The Schur expansion of m_mu, the row mu of the inverse Kostka matrix:
+    forward substitution over the lam below mu in dominance, in canonical
+    order, reading K_{kappa lam} from the Pieri column of lam."""
+
+    def build():
+        row: dict[Partition, int] = {}
+        for lam in partitions_of(sum(mu)):
+            if not dominates(mu, lam):
+                continue
+            column = _h_in_s(lam)
+            v = (1 if lam == mu else 0) - sum(
+                c * column.get(kappa, 0) for kappa, c in row.items()
+            )
+            if v:
+                row[lam] = v
+        return row
+
+    return _memo(("m-in-s", mu), build)
+
+
 def _expand(f: SymFunc, target: str, image) -> SymFunc:
     """Replace each basis element of f by image(lam), a map from target-basis
     keys to coefficients."""
@@ -171,38 +248,27 @@ def _expand(f: SymFunc, target: str, image) -> SymFunc:
     return SymFunc._trusted(target, accumulate(pairs))
 
 
-def _column(matrix: dict[Partition, dict[Partition, int]], lam: Partition) -> dict:
-    return {mu: v for mu, row in matrix.items() if (v := row.get(lam, 0))}
-
-
 def _to_s(f: SymFunc) -> SymFunc:
     if f.basis == "s":
         return f
-
-    def image(lam: Partition) -> dict:
-        k = sum(lam)
-        if f.basis == "m":
-            return kostka_inverse(k)[lam]
-        column = _column(kostka_matrix(k), lam)
-        return column if f.basis == "h" else {conjugate(mu): v for mu, v in column.items()}
-
-    return _expand(f, "s", image)
+    if f.basis == "m":
+        return _expand(f, "s", _m_in_s)
+    if f.basis == "h":
+        return _expand(f, "s", _h_in_s)
+    # e_mu is omega(h_mu): the same column with conjugated shapes
+    return _expand(f, "s", lambda mu: {conjugate(lam): v for lam, v in _h_in_s(mu).items()})
 
 
 def _from_s(f: SymFunc, target: str) -> SymFunc:
     if target == "s":
         return f
-
-    def image(lam: Partition) -> dict:
-        k = sum(lam)
-        if target == "m":
-            return kostka_matrix(k)[lam]
-        # the h-coefficients of s_lam are a column of the inverse Kostka
-        # matrix; this stays independent of the determinant expansion,
-        # which the tests play against it.  e transports along the conjugate.
-        return _column(kostka_inverse(k), lam if target == "h" else conjugate(lam))
-
-    return _expand(f, target, image)
+    if target == "m":
+        return _expand(f, "m", _s_in_m)
+    if target == "h":
+        return _expand(f, "h", _s_in_h)
+    # s_lam = det(e_{lam'_i - i + j}): the determinant of the conjugate,
+    # read in e
+    return _expand(f, "e", lambda lam: _s_in_h(conjugate(lam)))
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
@@ -400,6 +466,7 @@ def cauchy_transition_check(k: int, dual: bool = False) -> bool:
 
 
 def clear_caches() -> None:
-    """Drop the cached transition matrices (mainly for benchmarking)."""
+    """Drop the cached transition matrices, rows and columns (mainly for
+    benchmarking)."""
     with _cache_lock:
         _cache.clear()

@@ -307,7 +307,8 @@ def _lattice_counts(
 
 @lru_cache(maxsize=None)
 def _lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
+    # c^lam_{mu nu} = c^lam_{nu mu}, so both factors must fit inside lam
+    if not (contains(mu, lam) and contains(nu, lam)) or sum(mu) + sum(nu) != sum(lam):
         return 0
     return _lr_fillings(mu, nu, lam).get(lam, 0)
 

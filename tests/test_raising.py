@@ -4,8 +4,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurkit.partitions import dominates, partitions_of
+from schurkit.partitions import dominates, pad, partitions_of, subpartitions
 from schurkit.raising import (
+    _forced_contents,
     SignedPartition,
     adjacent_swap_identity_check,
     apply_raising,
@@ -143,3 +144,31 @@ def test_jacobi_trudi_consistent_with_straightening_exhaustive():
 @given(st.lists(st.integers(min_value=-3, max_value=6), min_size=4, max_size=5).map(tuple))
 def test_jacobi_trudi_consistent_with_straightening_random(alpha):
     assert _jt_matches_straighten(alpha)
+
+
+def _forced_by_filter(alpha, mu=()):
+    """Every permutation of the working length, filtered to the nonnegative
+    index vectors."""
+    ell = max(len(alpha), len(mu))
+    alpha, mu = pad(alpha, ell), pad(mu, ell)
+    rho = staircase(ell)
+    shifted = [alpha[i] + rho[i] for i in range(ell)]
+    out = []
+    for perm in itertools.permutations(range(ell)):
+        idx = tuple(shifted[perm[j]] - rho[j] - mu[j] for j in range(ell))
+        if all(v >= 0 for v in idx):
+            out.append((perm, idx))
+    return out
+
+
+def test_forced_contents_matches_permutation_filter():
+    # the pruned walk against the filter, order included
+    for k in range(8):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                assert list(_forced_contents(lam, mu)) == _forced_by_filter(lam, mu), (lam, mu)
+    for length in range(1, 5):
+        for alpha in itertools.product(range(-1, 4), repeat=length):
+            assert list(_forced_contents(alpha)) == _forced_by_filter(alpha), alpha
+    # 10! = 3,628,800 permutations for the filter; the walk visits only survivors
+    assert sum(1 for _ in _forced_contents((2,) * 10)) == 13122

@@ -13,6 +13,7 @@ from schurkit.ring import (
     SymFunc,
     cauchy_transition_check,
     convert,
+    kostka_inverse,
     kostka_matrix,
     mirror_identity_check,
     multiply,
@@ -253,24 +254,95 @@ def test_convert_round_trips():
 
 
 def test_convert_h_to_s_is_kostka_transpose():
+    # the Pieri column against the other side, the tableau-chain count
     for k in range(7):
-        K = kostka_matrix(k)
         for lam in partitions_of(k):
             g = convert(SymFunc.element("h", lam), "s")
             assert g.terms == {
-                mu: K[mu][lam] for mu in partitions_of(k) if K[mu].get(lam)
+                mu: v for mu in partitions_of(k) if (v := kostka(mu, (), lam))
             }
 
 
+def _column(matrix, lam):
+    return {mu: v for mu, row in matrix.items() if (v := row.get(lam, 0))}
+
+
 def test_convert_s_to_h_matches_determinant_expansion():
-    # two fully independent routes: matrix inversion vs the signed
-    # permutation expansion of the determinant
+    # two fully independent routes: the signed permutation expansion of the
+    # determinant (which convert now runs) vs the forward-substitution
+    # inverse, read column by column
     from schurkit.raising import jacobi_trudi_expand
 
     for k in range(9):
+        inverse = kostka_inverse(k)
         for lam in partitions_of(k):
-            via_inverse = convert(s(lam), "h").terms
+            via_inverse = _column(inverse, lam)
             assert via_inverse == jacobi_trudi_expand(lam), lam
+            assert convert(s(lam), "h").terms == via_inverse, lam
+
+
+def test_convert_m_to_s_is_inverse_kostka_row():
+    # forward substitution restricted to one dominance interval against the
+    # whole-degree inverse
+    for k in range(10):
+        inverse = kostka_inverse(k)
+        for mu in partitions_of(k):
+            assert convert(SymFunc.element("m", mu), "s").terms == inverse[mu], mu
+
+
+def test_kostka_matrix_matches_chain_counts():
+    # the Pieri columns, transposed, against the tableau-chain count
+    for k in range(13):
+        K = kostka_matrix(k)
+        parts = partitions_of(k)
+        assert list(K) == parts
+        for lam in parts:
+            assert K[lam] == {mu: v for mu in parts if (v := kostka(lam, (), mu))}
+
+
+def _matrix_convert(f, target):
+    """The whole-degree route: rows and columns of the Kostka matrix and
+    its inverse, through s."""
+
+    def image(basis, lam, into_s):
+        k = sum(lam)
+        K, inverse = kostka_matrix(k), kostka_inverse(k)
+        if basis == "m":
+            return inverse[lam] if into_s else K[lam]
+        if into_s:
+            col = _column(K, lam)
+            return col if basis == "h" else {conjugate(mu): v for mu, v in col.items()}
+        return _column(inverse, lam if basis == "h" else conjugate(lam))
+
+    def expand(g, basis, into_s):
+        pairs = [
+            (mu, c * v)
+            for lam, c in g.terms.items()
+            for mu, v in image(basis, lam, into_s).items()
+        ]
+        return SymFunc("s" if into_s else basis, pairs)
+
+    via_s = f if f.basis == "s" else expand(f, f.basis, True)
+    return via_s if target == "s" else expand(via_s, target, False)
+
+
+def test_convert_builds_no_whole_degree_matrix(monkeypatch):
+    from schurkit import ring
+
+    def boom(*args):
+        raise AssertionError("convert built a whole-degree matrix")
+
+    pairs = [(a, b) for a in ring.BASES for b in ring.BASES if a != b]
+    pool = [lam for k in range(9) for lam in partitions_of(k)]
+    ring.clear_caches()
+    monkeypatch.setattr(ring, "kostka_matrix", boom)
+    monkeypatch.setattr(ring, "kostka_inverse", boom)
+    results = {
+        (a, b, lam): convert(SymFunc.element(a, lam), b) for a, b in pairs for lam in pool
+    }
+    monkeypatch.undo()
+    for (a, b, lam), g in results.items():
+        assert g == _matrix_convert(SymFunc.element(a, lam), b), (a, b, lam)
 
 
 def test_omega_examples():

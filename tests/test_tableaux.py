@@ -170,6 +170,27 @@ def test_lr_coefficient_degenerate_cases():
     assert lr_coefficient((2,), (1,), (2,)) == 0  # size mismatch
 
 
+def test_lr_coefficient_walks_only_contents_inside_lam(monkeypatch):
+    from schurkit import tableaux
+    from schurkit.verification import run_suite
+
+    walks = []
+    lr_fillings = tableaux._lr_fillings
+
+    def counting_fillings(*args):
+        walks.append(args)
+        return lr_fillings(*args)
+
+    monkeypatch.setattr(tableaux, "_lr_fillings", counting_fillings)
+    tableaux.clear_caches()
+    result = run_suite("lr-signed", 7)
+    # 913 of the 1,723 contents nu the suite asks about do not fit inside
+    # lam, where c^lam_{mu nu} = 0 without a walk
+    assert result.failures == [] and len(walks) == 810
+    assert all(tableaux.contains(nu, lam) for _, nu, lam in walks)
+    tableaux.clear_caches()
+
+
 def test_lr_symmetry_and_conjugation():
     from schurkit.partitions import conjugate
 
