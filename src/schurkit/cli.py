@@ -9,6 +9,7 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -202,7 +203,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and
+    # building it costs more than a warm request
     parser = argparse.ArgumentParser(
         prog="schurkit",
         description="Exact Schur polynomial calculus: products, coefficients, "

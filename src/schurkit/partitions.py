@@ -199,7 +199,8 @@ def horizontal_strip_extensions(
 
     A horizontal strip over lam occupies at most one new row, so the bound
     shape is lam with p extra columns in row 1 and each later row capped by
-    the row above it in lam.
+    the row above it in lam.  The bound contains lam by construction, so
+    the walk runs on lam as validated here, without a second check.
     """
     lam = normalize(lam)
     if p < 0:
@@ -209,7 +210,7 @@ def horizontal_strip_extensions(
         if len(lam) > max_len:
             return []
         bound = bound[:max_len]
-    return horizontal_strips_within(lam, bound, p)
+    return _strips(lam, bound, p)
 
 
 def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:

@@ -36,11 +36,18 @@ def staircase(length: int) -> tuple[int, ...]:
 
 
 def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given in one-line form over 0..n-1."""
-    inversions = sum(
-        1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation given in one-line form over 0..n-1: each cycle
+    of even length flips it, so one pass over the cycles suffices."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        i, length = start, 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length and not length % 2:
+            sign = -sign
+    return sign
 
 
 def apply_raising(alpha: Sequence[int], i: int, j: int) -> tuple[int, ...]:

@@ -8,7 +8,8 @@ changes are exact integer transforms computed one term at a time, each
 through s: h and e into s by Pieri's rule, s into m by counting tableau
 chains, s into h and e by the Jacobi-Trudi determinant, and m into s by
 forward substitution over one dominance interval.  The whole-degree Kostka
-matrix and its inverse are kept as their check side.
+matrix (the Pieri columns, transposed) and its inverse stay public; the
+tests hold each route to the tableau-chain count or to the determinant.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
     Partition,
-    _strips,
     compositions_of,
     conjugate,
     contains,
@@ -179,8 +179,7 @@ def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
 #
 # Each route expands one basis element and is memoised per partition in
 # _cache, so a conversion costs only the terms it touches.  The whole-degree
-# matrices above are never built on these routes; the tests play the two
-# against each other.
+# matrices above are never built on these routes.
 
 
 def _h_in_s(mu: Partition) -> dict[Partition, int]:
@@ -190,12 +189,10 @@ def _h_in_s(mu: Partition) -> dict[Partition, int]:
     def build():
         if not mu:
             return {(): 1}
-        k = sum(mu)
-        box = (k,) * k
         return accumulate(
             (shape, c)
             for base, c in _h_in_s(mu[:-1]).items()
-            for shape in _strips(base, box, mu[-1])
+            for shape in horizontal_strip_extensions(base, mu[-1])
         )
 
     return _memo(("h-in-s", mu), build)

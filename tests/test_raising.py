@@ -32,6 +32,14 @@ def test_perm_sign():
     assert perm_sign((2, 0, 1)) == 1
 
 
+def test_perm_sign_matches_inversion_count():
+    # the cycle parity against the other side, the parity of the inversions
+    for n in range(8):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            assert perm_sign(perm) == (-1) ** inversions, perm
+
+
 def test_apply_raising_examples():
     assert apply_raising((1, 1), 1, 2) == (2, 0)
     assert apply_raising((3, 2, 1), 1, 3) == (4, 2, 0)
