@@ -2,6 +2,7 @@
 symmetric functions, with brute-force polynomial oracles for every identity.
 """
 
+from ._memo import clear_caches
 from .partitions import (
     Partition,
     compositions_of,

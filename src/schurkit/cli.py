@@ -9,13 +9,13 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
 import sys
 from typing import Optional, Sequence
 
+from ._memo import memo
 from .partitions import format_partition, parse_composition, parse_partition
 from .polyval import eval_s_tableau
 from .ring import BASES, SymFunc, convert, multiply, skew_schur
@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-@functools.cache
+@memo
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parsing leaves the parser unchanged, and
     # building it costs more than a warm request

@@ -9,8 +9,9 @@ whose length is significant.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
+
+from ._memo import memo
 
 Partition = tuple[int, ...]
 
@@ -268,7 +269,7 @@ def subpartitions(lam: Sequence[int]) -> list[Partition]:
     return sorted(out, key=term_key)
 
 
-@lru_cache(maxsize=None)
+@memo
 def partition_count(k: int) -> int:
     """Number of partitions of k via Euler's pentagonal number recurrence.
 

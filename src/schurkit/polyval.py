@@ -9,7 +9,6 @@ sparse term map.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import add, sub
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .partitions import (
     partitions_of,
     term_key,
 )
+from ._memo import memo
 from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, perm_sign, staircase
 
@@ -143,12 +143,12 @@ def _symmetric_sum(r: int, n: int, choose) -> SparsePoly:
     return SparsePoly._trusted(n, terms)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _eval_h(r: int, n: int) -> SparsePoly:
     return _symmetric_sum(r, n, itertools.combinations_with_replacement)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _eval_e(r: int, n: int) -> SparsePoly:
     return _symmetric_sum(r, n, itertools.combinations)
 
@@ -199,7 +199,7 @@ def eval_m(lam: Sequence[int], n: int) -> SparsePoly:
     return SparsePoly._trusted(n, dict.fromkeys(_distinct_permutations(pad(lam, n)), 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
     # beta sorted descending so prefixes are shared across callers
     if not beta:
@@ -215,7 +215,7 @@ def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
     return _h_monomial(key, n)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
     if not contains(mu, lam):
         return SparsePoly.zero(n)
@@ -455,11 +455,3 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
                     yield ex + ey, cx * cy
 
     return lhs == accumulate(diagonal())
-
-
-def clear_caches() -> None:
-    """Drop memoized polynomials (mainly for benchmarking)."""
-    _eval_h.cache_clear()
-    _eval_e.cache_clear()
-    _h_monomial.cache_clear()
-    _eval_s.cache_clear()

@@ -9,7 +9,6 @@ complete-homogeneous index monomials.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from ._sparse import accumulate
@@ -79,12 +78,9 @@ def straighten(alpha: Sequence[int]) -> SignedPartition:
         return ZERO
     if shifted and min(shifted) < 0:
         return ZERO
-    inversions = sum(
-        1 for a, b in itertools.combinations(shifted, 2) if a < b
-    )
-    ordered = sorted(shifted, reverse=True)
-    mu = tuple(ordered[i] - (ell - 1 - i) for i in range(ell))
-    return SignedPartition(-1 if inversions % 2 else 1, normalize(mu))
+    order = sorted(range(ell), key=shifted.__getitem__, reverse=True)
+    mu = tuple(shifted[order[i]] - (ell - 1 - i) for i in range(ell))
+    return SignedPartition(perm_sign(order), normalize(mu))
 
 
 def adjacent_swap_identity_check(

@@ -14,7 +14,6 @@ tests hold each route to the tableau-chain count or to the determinant.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
@@ -32,6 +31,7 @@ from .partitions import (
     term_key,
     vertical_strip_extensions,
 )
+from ._memo import memo
 from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, straighten
 from .tableaux import _kostka_chains, _lr_fillings, kostka, lr_coefficient
@@ -109,27 +109,9 @@ class SymFunc(SparseCombination):
 
 # ---------------------------------------------------------------------------
 # transition data: whole-degree matrices and per-term rows and columns
-#
-# The cache is shared state; the lock gives compute-once semantics under
-# concurrent access.  It must be reentrant: a build recurses into other
-# entries under the same lock (the inverse matrix into the forward one, a
-# Pieri column into the column of its prefix).
-
-_cache_lock = threading.RLock()
-_cache: dict = {}
 
 
-def _memo(key, build):
-    try:
-        return _cache[key]
-    except KeyError:
-        pass
-    with _cache_lock:
-        if key not in _cache:
-            _cache[key] = build()
-        return _cache[key]
-
-
+@memo
 def kostka_matrix(k: int) -> dict[Partition, dict[Partition, int]]:
     """All Kostka numbers in degree k: matrix[lam][mu] counts tableaux of
     straight shape lam and content mu.  Nonzero only when lam dominates mu.
@@ -137,105 +119,84 @@ def kostka_matrix(k: int) -> dict[Partition, dict[Partition, int]]:
     Assembled from the Pieri columns of `_h_in_s`; the tableau-chain count
     `tableaux.kostka` stays its independent check.
     """
-
-    def build():
-        parts = partitions_of(k)
-        columns = {mu: _h_in_s(mu) for mu in parts}
-        return {
-            lam: {mu: v for mu in parts if (v := columns[mu].get(lam))} for lam in parts
-        }
-
-    return _memo(("kostka", k), build)
+    parts = partitions_of(k)
+    columns = {mu: _h_in_s(mu) for mu in parts}
+    return {
+        lam: {mu: v for mu in parts if (v := columns[mu].get(lam))} for lam in parts
+    }
 
 
+@memo
 def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
     """Inverse Kostka matrix in degree k: row[mu][lam] gives the Schur
     expansion of the degree-k monomial function m_mu.
 
-    Forward substitution along the canonical order, which refines dominance
-    downward, so the system is unitriangular over the integers.
+    Row mu is the row of `_m_in_s`, copied so that a caller who mutates the
+    matrix cannot change what `convert` reads.
     """
-
-    def build():
-        parts = partitions_of(k)
-        K = kostka_matrix(k)
-        inverse: dict[Partition, dict[Partition, int]] = {}
-        for mu in parts:
-            row: dict[Partition, int] = {}
-            for lam in parts:
-                v = (1 if lam == mu else 0) - sum(
-                    row.get(kappa, 0) * K[kappa].get(lam, 0) for kappa in row
-                )
-                if v:
-                    row[lam] = v
-            inverse[mu] = row
-        return inverse
-
-    return _memo(("kostka-inv", k), build)
+    return {mu: dict(_m_in_s(mu)) for mu in partitions_of(k)}
 
 
 # ---------------------------------------------------------------------------
 # basis changes, one row or column per term
 #
-# Each route expands one basis element and is memoised per partition in
-# _cache, so a conversion costs only the terms it touches.  The whole-degree
-# matrices above are never built on these routes.
+# Each route expands one basis element and is memoised per partition, so a
+# conversion costs only the terms it touches.  The whole-degree matrices
+# above are never built on these routes.
 
 
+@memo
 def _h_in_s(mu: Partition) -> dict[Partition, int]:
     """The Schur expansion {lam: K_{lam mu}} of h_mu: Pieri's rule adds one
     horizontal mu_i-strip per part, memoised on the prefixes of mu."""
-
-    def build():
-        if not mu:
-            return {(): 1}
-        return accumulate(
-            (shape, c)
-            for base, c in _h_in_s(mu[:-1]).items()
-            for shape in horizontal_strip_extensions(base, mu[-1])
-        )
-
-    return _memo(("h-in-s", mu), build)
+    if not mu:
+        return {(): 1}
+    return accumulate(
+        (shape, c)
+        for base, c in _h_in_s(mu[:-1]).items()
+        for shape in horizontal_strip_extensions(base, mu[-1])
+    )
 
 
+@memo
 def _s_in_m(lam: Partition) -> dict[Partition, int]:
     """The monomial expansion {mu: K_{lam mu}} of s_lam, over mu below lam in
     dominance, by the memoised tableau-chain count."""
-
-    def build():
-        return {
-            mu: v
-            for mu in partitions_of(sum(lam))
-            if dominates(lam, mu) and (v := _kostka_chains(lam, (), mu))
-        }
-
-    return _memo(("s-in-m", lam), build)
+    return {
+        mu: v
+        for mu in partitions_of(sum(lam))
+        if dominates(lam, mu) and (v := _kostka_chains(lam, (), mu))
+    }
 
 
+@memo
 def _s_in_h(lam: Partition) -> dict[Partition, int]:
     """The h-expansion of s_lam: the Jacobi-Trudi determinant, expanded."""
-    return _memo(("s-in-h", lam), lambda: jacobi_trudi_expand(lam))
+    return jacobi_trudi_expand(lam)
 
 
+@memo
 def _m_in_s(mu: Partition) -> dict[Partition, int]:
     """The Schur expansion of m_mu, the row mu of the inverse Kostka matrix:
     forward substitution over the lam below mu in dominance, in canonical
-    order, reading K_{kappa lam} from the Pieri column of lam."""
+    order, reading K_{kappa lam} from the Pieri column of lam.
 
-    def build():
-        row: dict[Partition, int] = {}
-        for lam in partitions_of(sum(mu)):
-            if not dominates(mu, lam):
-                continue
-            column = _h_in_s(lam)
-            v = (1 if lam == mu else 0) - sum(
-                c * column.get(kappa, 0) for kappa, c in row.items()
-            )
-            if v:
-                row[lam] = v
-        return row
-
-    return _memo(("m-in-s", mu), build)
+    The canonical order refines dominance downward, so the system is
+    unitriangular over the integers.  Restricting it to the interval drops
+    only zeros: K_{kappa lam} vanishes unless lam is below kappa, and every
+    kappa in the row is below mu.
+    """
+    row: dict[Partition, int] = {}
+    for lam in partitions_of(sum(mu)):
+        if not dominates(mu, lam):
+            continue
+        column = _h_in_s(lam)
+        v = (1 if lam == mu else 0) - sum(
+            c * column.get(kappa, 0) for kappa, c in row.items()
+        )
+        if v:
+            row[lam] = v
+    return row
 
 
 def _expand(f: SymFunc, target: str, image) -> SymFunc:
@@ -460,10 +421,3 @@ def cauchy_transition_check(k: int, dual: bool = False) -> bool:
     lhs = accumulate(pairs())
     rhs = {(lam, lam): 1 for lam in parts}
     return lhs == rhs
-
-
-def clear_caches() -> None:
-    """Drop the cached transition matrices, rows and columns (mainly for
-    benchmarking)."""
-    with _cache_lock:
-        _cache.clear()

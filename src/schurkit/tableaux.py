@@ -15,9 +15,9 @@ independent of it, as its checks.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+from ._memo import memo
 from ._sparse import accumulate
 from .partitions import (
     Partition,
@@ -207,7 +207,7 @@ def enumerate_ssyt(
     return [_chain_to_tableau(outer, inner, chain) for chain in _strip_chains(outer, inner, sizes)]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _kostka_chains(outer: Partition, inner: Partition, content: tuple[int, ...]) -> int:
     if not content:
         return 1 if outer == inner else 0
@@ -305,7 +305,7 @@ def _lattice_counts(
     return counts
 
 
-@lru_cache(maxsize=None)
+@memo
 def _lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     # c^lam_{mu nu} = c^lam_{nu mu}, so both factors must fit inside lam
     if not (contains(mu, lam) and contains(nu, lam)) or sum(mu) + sum(nu) != sum(lam):
@@ -411,9 +411,3 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
 def is_bad_pair(pair: SignedPair) -> bool:
     """True if some column-suffix content of the tableau is not a partition."""
     return _max_bad_column(pair.tableau) is not None
-
-
-def clear_caches() -> None:
-    """Drop the memoized tableau counts (mainly for benchmarking)."""
-    _kostka_chains.cache_clear()
-    _lr_coefficient.cache_clear()

@@ -1,0 +1,45 @@
+import importlib
+import pkgutil
+
+import schurkit
+from schurkit import _memo, cli
+from schurkit.partitions import partition_count
+from schurkit.polyval import eval_e, eval_h, eval_h_monomial, eval_s_tableau
+from schurkit.ring import BASES, SymFunc, convert, kostka_inverse, kostka_matrix, multiply
+from schurkit.tableaux import kostka, lr_coefficient
+
+
+def test_one_clear_empties_every_memo(capsys):
+    for a in BASES:
+        for b in BASES:
+            convert(SymFunc.element(a, (2, 1)), b)
+    multiply(SymFunc.element("s", (2, 1)), SymFunc.element("s", (1,)))
+    lr_coefficient((3, 2, 1), (2, 1), (2, 1))
+    kostka((3, 1), (), (2, 1, 1))
+    eval_s_tableau((2, 1), (), 3)
+    kostka_matrix(4)
+    kostka_inverse(4)
+    eval_h(2, 3)
+    eval_e(2, 3)
+    eval_h_monomial((2, 1), 3)
+    partition_count(10)
+    assert cli.main(["mult", "s[1]*s[1]"]) == 0
+    capsys.readouterr()
+    assert _memo._registry
+    empty = [f.__qualname__ for f in _memo._registry if not f.cache_info().currsize]
+    assert empty == []
+    schurkit.clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in _memo._registry)
+
+
+def test_every_cache_is_registered():
+    # a bare functools.cache or lru_cache would escape clear_caches()
+    modules = [schurkit] + [
+        importlib.import_module(f"schurkit.{info.name}")
+        for info in pkgutil.iter_modules(schurkit.__path__)
+    ]
+    registered = {id(f) for f in _memo._registry}
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_clear"):
+                assert id(obj) in registered, f"{mod.__name__}.{name}"

@@ -94,6 +94,27 @@ def test_straighten_result_is_canonical(alpha):
         assert sum(sp.partition) == sum(alpha)
 
 
+def _straighten_by_inversions(alpha):
+    # the other side: sort the shifted vector, parity from counting the
+    # out-of-order pairs one by one
+    ell = len(alpha)
+    shifted = [alpha[i] + ell - 1 - i for i in range(ell)]
+    if len(set(shifted)) != ell or (shifted and min(shifted) < 0):
+        return SignedPartition(0, None)
+    inversions = sum(a < b for a, b in itertools.combinations(shifted, 2))
+    ordered = sorted(shifted, reverse=True)
+    # weakly decreasing and nonnegative, so the zeros are the trailing ones
+    mu = tuple(v for v in (ordered[i] - (ell - 1 - i) for i in range(ell)) if v)
+    return SignedPartition((-1) ** inversions, mu)
+
+
+def test_straighten_matches_inversion_count_exhaustive():
+    # all 137,257 vectors with entries in -2..4 and length at most 6
+    for n in range(7):
+        for alpha in itertools.product(range(-2, 5), repeat=n):
+            assert straighten(alpha) == _straighten_by_inversions(alpha), alpha
+
+
 def test_adjacent_swap_examples():
     assert adjacent_swap_identity_check((), 1, 3, ())
     assert adjacent_swap_identity_check((4,), 2, 2, (1,))

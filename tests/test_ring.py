@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import schurkit
 from schurkit.partitions import conjugate, contains, partitions_of, subpartitions
 from schurkit.ring import (
     BasisMismatchError,
@@ -220,7 +221,7 @@ def test_lr_counts_build_no_tableaux(monkeypatch):
 
     monkeypatch.setattr(Tableau, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr(tableaux, "enumerate_ssyt", counting_enumerate)
-    tableaux.clear_caches()
+    schurkit.clear_caches()
     ones = (1,) * 8
     assert multiply(s((3, 1)), s(ones)) == SymFunc(
         "s",
@@ -354,7 +355,7 @@ def test_convert_builds_no_whole_degree_matrix(monkeypatch):
 
     pairs = [(a, b) for a in ring.BASES for b in ring.BASES if a != b]
     pool = [lam for k in range(9) for lam in partitions_of(k)]
-    ring.clear_caches()
+    schurkit.clear_caches()
     monkeypatch.setattr(ring, "kostka_matrix", boom)
     monkeypatch.setattr(ring, "kostka_inverse", boom)
     results = {
@@ -402,14 +403,14 @@ def test_skew_schur_walks_only_contents_inside_lam(monkeypatch):
         return lr_fillings(*args)
 
     monkeypatch.setattr(tableaux, "_lr_fillings", counting_fillings)
-    tableaux.clear_caches()
+    schurkit.clear_caches()
     lam, mu = (6, 5, 4, 3, 2, 1), (3, 2, 1)
     result = skew_schur(lam, mu)
     # 43 of the 176 partitions of 15 fit inside lam; the others have c = 0
     assert len(walks) == len(result) == 43
     every_nu = {nu: c for nu in partitions_of(15) if (c := lr_coefficient(lam, mu, nu))}
     assert result == SymFunc("s", every_nu)
-    tableaux.clear_caches()
+    schurkit.clear_caches()
 
 
 def test_skew_jacobi_trudi_examples():
@@ -470,11 +471,9 @@ def test_skew_mirror_generalization():
 
 
 def test_inverse_matrix_cold_start():
-    # regression: building the inverse recurses into the forward matrix under
-    # the cache lock, which must therefore be reentrant
-    from schurkit import ring
-
-    ring.clear_caches()
+    # with every memo empty, the inverse row recurses into the forward Pieri
+    # columns, each a memo that fills during the outer build
+    schurkit.clear_caches()
     f = SymFunc.element("m", (3, 2, 1))
     assert omega(omega(f)) == f
 
@@ -482,9 +481,7 @@ def test_inverse_matrix_cold_start():
 def test_concurrent_conversions():
     import threading
 
-    from schurkit import ring
-
-    ring.clear_caches()
+    schurkit.clear_caches()
     results = []
 
     def work():

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import schurkit
 from schurkit.partitions import partitions_of, subpartitions
 from schurkit.tableaux import (
     SignedPair,
@@ -94,7 +95,7 @@ def test_chain_walk_validates_only_at_the_boundary(monkeypatch):
 
     monkeypatch.setattr(partitions, "normalize", counting)
     monkeypatch.setattr(tableaux, "normalize", counting)
-    tableaux.clear_caches()
+    schurkit.clear_caches()
     assert len(enumerate_ssyt((4, 3, 2, 1), (), 4)) == 64
     assert len(calls) <= 4
     calls.clear()
@@ -182,13 +183,13 @@ def test_lr_coefficient_walks_only_contents_inside_lam(monkeypatch):
         return lr_fillings(*args)
 
     monkeypatch.setattr(tableaux, "_lr_fillings", counting_fillings)
-    tableaux.clear_caches()
+    schurkit.clear_caches()
     result = run_suite("lr-signed", 7)
     # 913 of the 1,723 contents nu the suite asks about do not fit inside
     # lam, where c^lam_{mu nu} = 0 without a walk
     assert result.failures == [] and len(walks) == 810
     assert all(tableaux.contains(nu, lam) for _, nu, lam in walks)
-    tableaux.clear_caches()
+    schurkit.clear_caches()
 
 
 def test_lr_symmetry_and_conjugation():
