@@ -16,19 +16,6 @@ from ._memo import memo
 Partition = tuple[int, ...]
 
 
-def is_partition(seq: Sequence[int]) -> bool:
-    """True if seq holds ints only and, after dropping trailing zeros, weakly
-    decreases through positive values."""
-    parts = tuple(seq)
-    if any(type(p) is not int for p in parts):
-        return False
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    if any(p <= 0 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
 def _ints(seq: Sequence[int], what: str) -> tuple[int, ...]:
     """seq as a tuple of exact integers; anything else (float, bool) is a TypeError."""
     out = tuple(seq)
@@ -47,6 +34,16 @@ def normalize(seq: Sequence[int]) -> Partition:
     ):
         raise ValueError(f"not a partition: {tuple(seq)!r}")
     return parts
+
+
+def is_partition(seq: Sequence[int]) -> bool:
+    """True if seq holds ints only and, after dropping trailing zeros, weakly
+    decreases through positive values: exactly when normalize accepts it."""
+    try:
+        normalize(seq)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def pad(seq: Sequence[int], length: int) -> tuple[int, ...]:
@@ -269,12 +266,18 @@ def subpartitions(lam: Sequence[int]) -> list[Partition]:
     return sorted(out, key=term_key)
 
 
-@memo
 def partition_count(k: int) -> int:
     """Number of partitions of k via Euler's pentagonal number recurrence.
 
     Kept independent of partitions_of so the two can check each other.
     """
+    if type(k) is not int:
+        raise TypeError(f"degree must be int, got {k!r}")
+    return _partition_count(k)
+
+
+@memo
+def _partition_count(k: int) -> int:
     if k < 0:
         return 0
     if k == 0:
@@ -287,7 +290,7 @@ def partition_count(k: int) -> int:
         if g1 > k and g2 > k:
             break
         sign = 1 if j % 2 else -1
-        total += sign * (partition_count(k - g1) + partition_count(k - g2))
+        total += sign * (_partition_count(k - g1) + _partition_count(k - g2))
         j += 1
     return total
 

@@ -16,6 +16,7 @@ from .partitions import (
     Partition,
     _ints,
     _strip_chains,
+    compositions_of,
     conjugate,
     contains,
     horizontal_strip_extensions,
@@ -23,11 +24,12 @@ from .partitions import (
     normalize,
     pad,
     partitions_of,
+    subpartitions,
     term_key,
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
-from .raising import jacobi_trudi_expand, perm_sign, staircase
+from .raising import jacobi_trudi_expand, perm_sign, staircase, straighten
 
 
 class SparsePoly(SparseCombination):
@@ -143,26 +145,29 @@ def _symmetric_sum(r: int, n: int, choose) -> SparsePoly:
     return SparsePoly._trusted(n, terms)
 
 
+def _check_degree(r) -> None:
+    # before any memo: 2.0 and True hash equal to 2 and 1
+    if type(r) is not int:
+        raise TypeError(f"degree must be int, got {r!r}")
+
+
 @memo
 def _eval_h(r: int, n: int) -> SparsePoly:
     return _symmetric_sum(r, n, itertools.combinations_with_replacement)
 
 
-@memo
-def _eval_e(r: int, n: int) -> SparsePoly:
-    return _symmetric_sum(r, n, itertools.combinations)
-
-
 def eval_h(r: int, n: int) -> SparsePoly:
     """The complete homogeneous function of degree r in n variables."""
+    _check_degree(r)
     SparsePoly._check_head(n)
     return _eval_h(r, n)
 
 
 def eval_e(r: int, n: int) -> SparsePoly:
     """The elementary function of degree r in n variables (zero for r > n)."""
+    _check_degree(r)
     SparsePoly._check_head(n)
-    return _eval_e(r, n)
+    return _symmetric_sum(r, n, itertools.combinations)
 
 
 def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -209,6 +214,7 @@ def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
 
 def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
     """Product of complete homogeneous functions indexed by beta."""
+    SparsePoly._check_head(n)
     key = tuple(sorted((b for b in _ints(beta, "h indices") if b), reverse=True))
     if any(b < 0 for b in key):
         return SparsePoly.zero(n)
@@ -245,7 +251,7 @@ def eval_sym_func(f, n: int) -> SparsePoly:
         elif f.basis == "e":
             p = SparsePoly.one(n)
             for part in lam:
-                p = p * _eval_e(part, n)
+                p = p * _symmetric_sum(part, n, itertools.combinations)
         else:
             p = eval_m(lam, n)
         total = total + c * p
@@ -342,8 +348,6 @@ def variable_split_check(lam: Sequence[int], a: int, b: int) -> bool:
     """Check the two-alphabet expansion: the tableau polynomial in a+b
     variables equals the sum over inner shapes mu of the skew polynomial in
     the first a variables times the straight polynomial in the last b."""
-    from .partitions import subpartitions
-
     lam = normalize(lam)
     n = a + b
     lhs = eval_s_tableau(lam, (), n)
@@ -359,9 +363,6 @@ def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
     """Check the composition-indexed split: the tableau polynomial in a+b
     variables equals the signed sum of h-products in the first alphabet times
     straightened difference polynomials in the second."""
-    from .partitions import compositions_of
-    from .raising import straighten
-
     lam = normalize(lam)
     n = a + b
     lhs = eval_s_tableau(lam, (), n)
@@ -415,36 +416,25 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
     """Compare the degree-(k, k) slice of the Cauchy kernel in two alphabets
     of n variables against the diagonal sum of Schur polynomial products.
 
-    The plain kernel is the product of geometric series 1/(1 - x_i y_j)
-    truncated at degree k; the dual kernel is the finite product of
-    (1 + x_i y_j) paired with conjugate shapes on the Schur side.
+    The plain kernel is the product of geometric series 1/(1 - x_i y_j), the
+    dual kernel the finite product of (1 + x_i y_j), paired with conjugate
+    shapes on the Schur side.  Expanded, either is the sum over n x n
+    matrices a of x^(row sums of a) y^(column sums of a): entries >= 0 for
+    the plain kernel, 0 or 1 for the dual.  The slice keeps total k.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if n < 1:
         raise ValueError("need at least one variable per alphabet")
-    width = 2 * n
-    kernel: dict[tuple[int, ...], int] = {(0,) * width: 1}
-    powers = (0, 1) if dual else tuple(range(k + 1))
-
-    def times_factor(kernel, i, j):
-        # kernel times the (truncated) series in x_i y_j
-        for e, c in kernel.items():
-            for t in powers:
-                out = list(e)
-                out[i] += t
-                out[n + j] += t
-                if sum(out[:n]) <= k and sum(out[n:]) <= k:
-                    yield tuple(out), c
-
-    for i in range(n):
-        for j in range(n):
-            kernel = accumulate(times_factor(kernel, i, j))
-    lhs = {
-        e: c
-        for e, c in kernel.items()
-        if sum(e[:n]) == k and sum(e[n:]) == k
-    }
+    lhs = accumulate(
+        (
+            tuple(sum(a[i * n : i * n + n]) for i in range(n))
+            + tuple(sum(a[j::n]) for j in range(n)),
+            1,
+        )
+        for a in compositions_of(k, n * n)
+        if not dual or max(a) <= 1
+    )
 
     def diagonal():
         for lam in partitions_of(k):

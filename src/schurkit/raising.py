@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from ._sparse import accumulate
-from .partitions import Partition, normalize, pad
+from .partitions import Partition, _ints, normalize, pad
 
 
 class SignedPartition(NamedTuple):
@@ -54,7 +54,7 @@ def apply_raising(alpha: Sequence[int], i: int, j: int) -> tuple[int, ...]:
 
     The result dominates the input: a unit always moves toward the front.
     """
-    alpha = tuple(alpha)
+    alpha = _ints(alpha, "index vector")
     if not (1 <= i < j <= len(alpha)):
         raise IndexError(f"need 1 <= i < j <= {len(alpha)}, got i={i}, j={j}")
     out = list(alpha)
@@ -136,6 +136,7 @@ def jacobi_trudi_expand(
     1), and surviving index multisets are keyed as partitions sorted
     descending.
     """
+    alpha, mu = _ints(alpha, "index vector"), _ints(mu, "inner shape")
     return accumulate(
         (tuple(sorted((v for v in idx if v), reverse=True)), perm_sign(perm))
         for perm, idx in _forced_contents(alpha, mu)

@@ -8,8 +8,9 @@ changes are exact integer transforms computed one term at a time, each
 through s: h and e into s by Pieri's rule, s into m by counting tableau
 chains, s into h and e by the Jacobi-Trudi determinant, and m into s by
 forward substitution over one dominance interval.  The whole-degree Kostka
-matrix (the Pieri columns, transposed) and its inverse stay public; the
-tests hold each route to the tableau-chain count or to the determinant.
+matrix (the Pieri columns, transposed) and its inverse stay public, built
+afresh on each call from the per-term memos; the tests hold each route to
+the tableau-chain count or to the determinant.
 """
 
 from __future__ import annotations
@@ -111,12 +112,12 @@ class SymFunc(SparseCombination):
 # transition data: whole-degree matrices and per-term rows and columns
 
 
-@memo
 def kostka_matrix(k: int) -> dict[Partition, dict[Partition, int]]:
     """All Kostka numbers in degree k: matrix[lam][mu] counts tableaux of
     straight shape lam and content mu.  Nonzero only when lam dominates mu.
 
-    Assembled from the Pieri columns of `_h_in_s`; the tableau-chain count
+    Assembled from the Pieri columns of `_h_in_s` into new dicts on every
+    call, so a caller may mutate the result; the tableau-chain count
     `tableaux.kostka` stays its independent check.
     """
     parts = partitions_of(k)
@@ -126,13 +127,13 @@ def kostka_matrix(k: int) -> dict[Partition, dict[Partition, int]]:
     }
 
 
-@memo
 def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
     """Inverse Kostka matrix in degree k: row[mu][lam] gives the Schur
     expansion of the degree-k monomial function m_mu.
 
-    Row mu is the row of `_m_in_s`, copied so that a caller who mutates the
-    matrix cannot change what `convert` reads.
+    Row mu is the row of `_m_in_s`, copied into a new dict on every call, so
+    that a caller who mutates the matrix changes neither what `convert`
+    reads nor a later call's result.
     """
     return {mu: dict(_m_in_s(mu)) for mu in partitions_of(k)}
 

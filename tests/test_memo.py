@@ -2,7 +2,7 @@ import importlib
 import pkgutil
 
 import schurkit
-from schurkit import _memo, cli
+from schurkit import _memo, cli, polyval, ring
 from schurkit.partitions import partition_count
 from schurkit.polyval import eval_e, eval_h, eval_h_monomial, eval_s_tableau
 from schurkit.ring import BASES, SymFunc, convert, kostka_inverse, kostka_matrix, multiply
@@ -43,3 +43,11 @@ def test_every_cache_is_registered():
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_clear"):
                 assert id(obj) in registered, f"{mod.__name__}.{name}"
+
+
+def test_unread_values_are_not_memoised():
+    # the whole-degree matrices are rebuilt from the per-term memos, and
+    # e_r in n variables is cheap to rebuild
+    registered = {id(f) for f in _memo._registry}
+    for fn in (ring.kostka_matrix, ring.kostka_inverse, polyval.eval_e):
+        assert id(fn) not in registered and not hasattr(fn, "cache_info"), fn.__name__

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+import schurkit
 from schurkit.partitions import (
     compositions_of,
     conjugate,
@@ -214,6 +215,17 @@ def test_partition_counts_match_both_oracles():
         assert len(partitions_of(k)) == expected[k]
         assert partition_count(k) == expected[k]
         assert count_by_max_part(k, k) == expected[k]
+
+
+@pytest.mark.parametrize("bad", [3.0, True])
+def test_partition_count_rejects_non_int(bad):
+    # 3.0 and True hash like 3 and 1, so a memo lookup would accept them
+    schurkit.clear_caches()
+    with pytest.raises(TypeError):
+        partition_count(bad)
+    assert partition_count(int(bad)) == int(bad)
+    with pytest.raises(TypeError):
+        partition_count(bad)
 
 
 def test_subpartitions():

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+import schurkit
 from schurkit.partitions import partitions_of, subpartitions
 from schurkit.polyval import (
     SparsePoly,
@@ -149,6 +150,29 @@ def test_eval_h_and_e_examples():
         for lam in partitions_of(r):
             total = total + eval_m(lam, 3)
         assert total == eval_h(r, 3)
+
+
+@pytest.mark.parametrize("fn", [eval_h, eval_e])
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_eval_degree_must_be_int(fn, bad):
+    # cold, then with the int degree memoised: 2.0 and True hash like 2 and 1
+    schurkit.clear_caches()
+    with pytest.raises(TypeError):
+        fn(bad, 3)
+    assert fn(int(bad), 3)
+    with pytest.raises(TypeError):
+        fn(bad, 3)
+
+
+@pytest.mark.parametrize("bad", [3.0, True])
+def test_h_monomial_variable_count_must_be_int(bad):
+    # cold, then with the int count memoised
+    schurkit.clear_caches()
+    with pytest.raises(TypeError):
+        eval_h_monomial((2, 1), bad)
+    assert eval_h_monomial((2, 1), int(bad))
+    with pytest.raises(TypeError):
+        eval_h_monomial((2, 1), bad)
 
 
 def test_eval_s_examples():

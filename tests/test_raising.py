@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schurkit
 from schurkit.partitions import dominates, pad, partitions_of, subpartitions
 from schurkit.raising import (
     _forced_contents,
@@ -15,6 +16,7 @@ from schurkit.raising import (
     staircase,
     straighten,
 )
+from schurkit.ring import SymFunc, convert
 
 int_vectors = st.lists(st.integers(min_value=-3, max_value=6), min_size=0, max_size=5).map(tuple)
 
@@ -53,6 +55,23 @@ def test_apply_raising_rejects_bad_indices():
         apply_raising((1, 1), 1, 3)
     with pytest.raises(IndexError):
         apply_raising((1, 1), 0, 1)
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_index_vectors_must_be_int(bad):
+    # cold, then with the int expansions memoised (s -> h reads them)
+    schurkit.clear_caches()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            jacobi_trudi_expand((bad, 1))
+        with pytest.raises(TypeError):
+            jacobi_trudi_expand((3, 2), (bad,))
+        with pytest.raises(TypeError):
+            apply_raising((bad, 2), 1, 2)
+        jacobi_trudi_expand((int(bad), 1))
+        jacobi_trudi_expand((3, 2), (int(bad),))
+        apply_raising((int(bad), 2), 1, 2)
+        convert(SymFunc.element("s", (int(bad), 1)), "h")
 
 
 @given(int_vectors, st.data())

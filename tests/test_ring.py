@@ -28,6 +28,7 @@ from schurkit.ring import (
     skew_schur,
 )
 from schurkit.tableaux import kostka, lr_coefficient, lr_tableaux
+from schurkit.verification import run_suite
 
 
 def s(lam, c=1):
@@ -320,6 +321,18 @@ def test_kostka_matrix_matches_chain_counts():
         assert list(K) == parts
         for lam in parts:
             assert K[lam] == {mu: v for mu in parts if (v := kostka(lam, (), mu))}
+
+
+def test_kostka_matrices_are_new_on_every_call():
+    # a write into one result reaches neither a later call nor the suite
+    # that reads the matrices
+    K, inverse = kostka_matrix(3), kostka_inverse(3)
+    K[(3,)][(3,)] = 5
+    inverse[(3,)][(3,)] = 5
+    del inverse[(2, 1)]
+    assert kostka_matrix(3) is not K and kostka_inverse(3) is not inverse
+    assert (kostka_matrix(3), kostka_inverse(3)) == _chain_kostka(3)
+    assert run_suite("kostka", 3).ok
 
 
 def _matrix_convert(f, target):
