@@ -3,19 +3,24 @@
 This is the ground-truth side of the library: every ring-level identity has
 a brute-force counterpart here, computed monomial by monomial with integer
 coefficients.  Exponent vectors are dense tuples of fixed length n inside a
-sparse term map.
+sparse term map.  Only inside a product and inside the tableau walk of
+eval_s_tableau are they packed into single integers, a fixed number of
+bytes per variable with x_1 most significant (Kronecker substitution);
+every value either returns carries tuples again.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add, sub
+from operator import mul, sub
 from typing import Sequence
 
 from .partitions import (
     Partition,
+    _interleaves,
     _ints,
     _strip_chains,
+    _strips,
     compositions_of,
     conjugate,
     contains,
@@ -84,25 +89,45 @@ class SparsePoly(SparseCombination):
             raise ValueError(f"variable counts differ: {self._head} vs {other._head}")
 
     def __mul__(self, other):
+        """The product with an int or a SparsePoly over the same variables.
+
+        Polynomial products add exponent vectors packed into ints (one
+        int add per term pair) and unpack each result term once.
+        """
         if type(other) is int:
             return self.__rmul__(other)
         if type(other) is not SparsePoly:
             return NotImplemented
         self._require_same_head(other)
-        right = other._terms.items()
-        return self._like(
-            accumulate(
-                (tuple(map(add, e1, e2)), c1 * c2)
-                for e1, c1 in self._terms.items()
-                for e2, c2 in right
-            )
-        )
+        # Kronecker substitution: every exponent of the product fits in
+        # `width` bytes, so x^e packs to the int whose big-endian bytes are
+        # those of e_1, ..., e_n, and adding packed keys adds exponent
+        # vectors without carries
+        n, width = self._head, _byte_width(self.degree() + other.degree())
+        weights = [256 ** (width * i) for i in range(n - 1, -1, -1)]
+        left = [(sum(map(mul, e, weights)), c) for e, c in self._terms.items()]
+        right = [(sum(map(mul, e, weights)), c) for e, c in other._terms.items()]
+        packed = accumulate((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right)
+        return self._like({_unpack(k, width, n): c for k, c in packed.items()})
 
     def degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
 
     def __repr__(self) -> str:
         return f"SparsePoly({self._head}, {self})"
+
+
+def _byte_width(degree: int) -> int:
+    # bytes that hold any exponent up to degree
+    return max(1, (degree.bit_length() + 7) // 8)
+
+
+def _unpack(key: int, width: int, n: int) -> tuple[int, ...]:
+    # inverse of packing n exponents of `width` bytes each, x_1 first
+    raw = key.to_bytes(n * width, "big")
+    if width == 1:  # every degree below 256: each byte is an exponent
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + width], "big") for i in range(0, n * width, width))
 
 
 def embed(p: SparsePoly, n: int, offset: int = 0) -> SparsePoly:
@@ -225,16 +250,46 @@ def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
 def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
     if not contains(mu, lam):
         return SparsePoly.zero(n)
-    # step i of a chain adds the boxes that x_i counts
-    sizes = (list(map(sum, chain)) for chain in _strip_chains(lam, mu, (None,) * n))
-    return SparsePoly._trusted(n, accumulate((tuple(map(sub, s[1:], s)), 1) for s in sizes))
+    if not n:
+        return SparsePoly.one(0) if lam == mu else SparsePoly.zero(0)
+    # shape nu -> {monomial in x_1..x_i: number of chains mu -> nu}; the
+    # chains that meet in one shape continue together.  Monomials are packed
+    # as in a product, x_1 most significant, so x_{i+1} appends one digit.
+    width = _byte_width(sum(lam) - sum(mu))
+    shift = 8 * width
+    level: dict[Partition, dict[int, int]] = {mu: {0: 1}}
+    for _ in range(n - 1):
+        nxt: dict[Partition, dict[int, int]] = {}
+        for nu, prefixes in level.items():
+            size = sum(nu)
+            for sigma in _strips(nu, lam, None):
+                step = sum(sigma) - size
+                acc = nxt.setdefault(sigma, {})
+                get = acc.get
+                for e, c in prefixes.items():
+                    e = e << shift | step
+                    acc[e] = get(e, 0) + c
+        level = nxt
+    # x_n adds the boxes of lam/nu, which must form a horizontal strip
+    total = sum(lam)
+    packed = accumulate(
+        (e << shift | total - sum(nu), c)
+        for nu, prefixes in level.items()
+        if _interleaves(nu, lam)
+        for e, c in prefixes.items()
+    )
+    return SparsePoly._trusted(n, {_unpack(e, width, n): c for e, c in packed.items()})
 
 
 def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> SparsePoly:
     """The (skew) Schur polynomial as a sum over tableaux of content monomials.
 
-    Walks chains of horizontal strips from mu up to lam in n steps, one step
-    per variable; the number of boxes added at step i is the exponent of x_i.
+    A tableau is a chain of horizontal strips from mu up to lam in n steps,
+    one step per variable; the number of boxes added at step i is the
+    exponent of x_i.  Chains are not walked one by one: step i keeps, for
+    each shape reached, its monomials in x_1..x_i with their counts, and the
+    chains that reach one shape continue together, so the cost follows
+    (shape, monomial) pairs rather than tableaux.
     """
     SparsePoly._check_head(n)
     return _eval_s(normalize(lam), normalize(mu), n)
@@ -322,7 +377,10 @@ def reduction_check(lam: Sequence[int], n: int) -> bool:
     lam = normalize(lam)
     if n < 1:
         raise ValueError("need at least one variable")
-    lhs = eval_s_tableau(lam, (), n)
+    # the merged walk of _eval_s applies this formula at its last step, so
+    # the left side sums one monomial per tableau, walked chain by chain
+    sizes = (list(map(sum, chain)) for chain in _strip_chains(lam, (), (None,) * n))
+    lhs = SparsePoly._trusted(n, accumulate((tuple(map(sub, s[1:], s)), 1) for s in sizes))
     rhs = SparsePoly.zero(n)
     for p in range(sum(lam) + 1):
         mus = horizontal_strip_reductions(lam, p)
@@ -412,6 +470,12 @@ def product_oracle(
     return coeffs
 
 
+def _zero_one_matrices(k: int, n: int):
+    # the n x n 0/1 matrices with k ones, flattened row by row
+    for ones in itertools.combinations(range(n * n), k):
+        yield tuple(int(i in ones) for i in range(n * n))
+
+
 def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
     """Compare the degree-(k, k) slice of the Cauchy kernel in two alphabets
     of n variables against the diagonal sum of Schur polynomial products.
@@ -432,8 +496,7 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
             + tuple(sum(a[j::n]) for j in range(n)),
             1,
         )
-        for a in compositions_of(k, n * n)
-        if not dual or max(a) <= 1
+        for a in (_zero_one_matrices(k, n) if dual else compositions_of(k, n * n))
     )
 
     def diagonal():

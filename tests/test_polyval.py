@@ -1,11 +1,15 @@
 import copy
 import json
 import pickle
+from operator import add
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import schurkit
-from schurkit.partitions import partitions_of, subpartitions
+from schurkit import polyval
+from schurkit._sparse import accumulate
+from schurkit.partitions import compositions_of, partitions_of, subpartitions
 from schurkit.polyval import (
     SparsePoly,
     alternant,
@@ -27,6 +31,7 @@ from schurkit.polyval import (
     variable_split_check,
 )
 from schurkit.ring import SymFunc, convert, multiply
+from schurkit.tableaux import enumerate_ssyt
 
 
 def swap_vars(p, i, j):
@@ -183,6 +188,30 @@ def test_eval_s_examples():
     assert eval_s_tableau((2, 1, 1), (), 2) == SparsePoly.zero(2)
 
 
+def _tableau_content_sum(lam, mu, n):
+    # check side of the merged walk: one content monomial per tableau that
+    # enumerate_ssyt lists chain by chain; with no variables only the empty
+    # filling of lam/lam exists
+    if n == 0:
+        return SparsePoly.one(0) if lam == mu else SparsePoly.zero(0)
+    return SparsePoly(n, accumulate((t.content(n), 1) for t in enumerate_ssyt(lam, mu, n)))
+
+
+def test_eval_s_matches_tableau_content_sum():
+    for k in range(7):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                for n in range(6):
+                    expected = _tableau_content_sum(lam, mu, n)
+                    assert eval_s_tableau(lam, mu, n) == expected, (lam, mu, n)
+    assert eval_s_tableau((2, 1), (2, 1), 0) == SparsePoly.one(0)
+    assert eval_s_tableau((2, 1), (1,), 0) == SparsePoly.zero(0)
+    assert eval_s_tableau((2, 1), (3,), 2) == SparsePoly.zero(2)  # mu not inside lam
+    assert eval_s_tableau((1,), (1, 1), 0) == SparsePoly.zero(0)
+    # exponents past one byte
+    assert eval_s_tableau((300,), (), 2) == _tableau_content_sum((300,), (), 2)
+
+
 def test_eval_s_is_symmetric():
     for k in range(7):
         for lam in partitions_of(k):
@@ -238,6 +267,28 @@ def test_reduction_examples():
     assert reduction_check((3, 1, 1), 2)  # more parts than variables
 
 
+@pytest.mark.parametrize("fault", ["drop one term", "double every polynomial"])
+def test_reduction_check_keeps_its_chain_side(monkeypatch, fault):
+    # the merged walk applies the reduction formula at its last step, so a
+    # fault it makes consistently would pass a check that read it on both sides
+    lam, n = (2, 1), 3
+    assert reduction_check(lam, n)
+    walk = polyval._eval_s
+
+    def faulty(outer, inner, k):
+        p = walk(outer, inner, k)
+        if fault == "double every polynomial":
+            return 2 * p
+        if (outer, inner, k) != (lam, (), n - 1):
+            return p
+        terms = dict(p.terms)
+        del terms[max(terms)]
+        return SparsePoly(k, terms)
+
+    monkeypatch.setattr(polyval, "_eval_s", faulty)
+    assert not reduction_check(lam, n)
+
+
 def test_product_oracle_examples():
     assert product_oracle((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
     assert product_oracle((2, 1), (2, 1), 6) == {
@@ -287,6 +338,12 @@ def test_cauchy_truncated_examples():
     assert cauchy_truncated_check(2, 1)
     assert cauchy_truncated_check(3, 3, dual=True)
     assert cauchy_truncated_check(0, 2) and cauchy_truncated_check(0, 2, dual=True)
+    assert cauchy_truncated_check(5, 2, dual=True)  # more ones than entries: both sides 0
+    for n in range(1, 4):
+        for k in range(n * n + 2):
+            assert sorted(polyval._zero_one_matrices(k, n)) == sorted(
+                a for a in compositions_of(k, n * n) if max(a, default=0) <= 1
+            )
 
 
 def test_variable_split():
@@ -336,3 +393,36 @@ def test_skew_eval_matches_skew_expansion():
             direct = eval_s_tableau(lam, mu, 3)
             via_ring = eval_sym_func(skew_schur(lam, mu), 3)
             assert direct == via_ring
+
+
+def _tuple_add_product(p, q):
+    # reference product: exponent tuples added entry by entry, no packing
+    return accumulate(
+        (tuple(map(add, e1, e2)), c1 * c2)
+        for e1, c1 in p.terms.items()
+        for e2, c2 in q.terms.items()
+    )
+
+
+_coeffs = st.integers(-3, 3) | st.integers(-(2**100), 2**100)
+
+
+def _factors(n):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 40)] * n), _coeffs, max_size=6)
+    return st.tuples(st.just(n), terms, terms)
+
+
+@given(st.integers(0, 4).flatmap(_factors))
+@example((0, {(): 3}, {(): -5}))
+@example((0, {}, {(): 2}))
+@example((3, {(0, 0, 0): 7}, {(0, 0, 0): -2, (12, 0, 3): 1}))
+@example((2, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}))  # cross terms cancel
+@example((2, {(10, 0): 2**80, (0, 10): -(2**80)}, {(10, 0): 3, (0, 10): 3}))
+@example((2, {(200, 0): 1, (0, 3): -1}, {(100, 7): 2, (0, 0): 1}))  # exponents past one byte
+def test_packed_product_matches_tuple_addition(factors):
+    n, a, b = factors
+    p, q = SparsePoly(n, a), SparsePoly(n, b)
+    prod = p * q
+    assert prod.terms == _tuple_add_product(p, q)
+    assert all(prod.terms.values())
+    assert all(len(e) == n and all(type(x) is int for x in e) for e in prod.terms)
