@@ -232,6 +232,11 @@ def partitions_of(
     k: int, max_len: Optional[int] = None, max_part: Optional[int] = None
 ) -> list[Partition]:
     """All partitions of k subject to the bounds, in canonical term order."""
+    if type(k) is not int:
+        raise TypeError(f"degree must be int, got {k!r}")
+    for bound in (max_len, max_part):
+        if bound is not None and type(bound) is not int:
+            raise TypeError(f"length and part bounds must be int, got {bound!r}")
     if k < 0:
         raise ValueError("cannot partition a negative integer")
     cap = k if max_part is None else min(k, max_part)

@@ -4,13 +4,16 @@ Elements are sparse integer combinations of partitions, tagged with one of
 four bases: s (Schur), h (complete homogeneous), e (elementary), m
 (monomial).  Products are computed natively in the Schur basis through
 Littlewood-Richardson coefficients; the other bases route through s.  Basis
-changes are exact integer transforms computed one term at a time, each
-through s: h and e into s by Pieri's rule, s into m by counting tableau
-chains, s into h and e by the Jacobi-Trudi determinant, and m into s by
-forward substitution over one dominance interval.  The whole-degree Kostka
+changes are exact integer transforms computed one term at a time: h and e
+into s by Pieri's rule, s into m by counting tableau chains, s into h and e
+by expanding the Jacobi-Trudi determinant along its first column, m into s
+by reading the inverse Kostka row from that expansion, h and e into each
+other by Newton's relation, and h and e into m by counting matrices with
+fixed margins; m into h and e passes through s.  The whole-degree Kostka
 matrix (the Pieri columns, transposed) and its inverse stay public, built
 afresh on each call from the per-term memos; the tests hold each route to
-the tableau-chain count or to the determinant.
+the tableau-chain count, to the permutation walk over the determinant, or
+to the route through s.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class SymFunc(SparseCombination):
 
     @classmethod
     def element(cls, basis: str, lam: Sequence[int], coeff: int = 1) -> "SymFunc":
-        return cls(basis, {lam: coeff})
+        return cls(basis, [(lam, coeff)])
 
     def coefficient(self, lam: Sequence[int]) -> int:
         return self._terms.get(normalize(lam), 0)
@@ -131,8 +134,9 @@ def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
     """Inverse Kostka matrix in degree k: row[mu][lam] gives the Schur
     expansion of the degree-k monomial function m_mu.
 
-    Row mu is the row of `_m_in_s`, copied into a new dict on every call, so
-    that a caller who mutates the matrix changes neither what `convert`
+    Row mu is the row of `_m_in_s`, read from the first-column expansion of
+    the Jacobi-Trudi determinants and copied into a new dict on every call,
+    so that a caller who mutates the matrix changes neither what `convert`
     reads nor a later call's result.
     """
     return {mu: dict(_m_in_s(mu)) for mu in partitions_of(k)}
@@ -170,34 +174,126 @@ def _s_in_m(lam: Partition) -> dict[Partition, int]:
     }
 
 
+def _merged(a: Partition, b: Partition) -> Partition:
+    """The parts of a and of b sorted into one partition: the index of the
+    products h_a h_b and e_a e_b, or a multiset union of column sums."""
+    return tuple(sorted(a + b, reverse=True))
+
+
 @memo
 def _s_in_h(lam: Partition) -> dict[Partition, int]:
-    """The h-expansion of s_lam: the Jacobi-Trudi determinant, expanded."""
-    return jacobi_trudi_expand(lam)
+    """The h-expansion of s_lam: the Jacobi-Trudi determinant det(h_{lam_i
+    - i + j}), expanded along its first column.
+
+    Deleting row i and the first column leaves the Jacobi-Trudi matrix of
+    (lam_1 + 1, ..., lam_{i-1} + 1, lam_{i+1}, ..., lam_l), a partition with
+    one row fewer, so
+
+        s_lam = sum_i (-1)^(i-1) h_{lam_i - i + 1} s_(that partition),
+
+    over the i with lam_i - i + 1 >= 0 (a prefix of the rows, since the
+    index falls as i grows; h_0 = 1 and generators of negative degree
+    vanish).  Every minor is memoised, so the partitions of one
+    conversion share them.
+    """
+    if not lam:
+        return {(): 1}
+    pairs = []
+    for i, part in enumerate(lam):
+        index = part - i
+        if index < 0:
+            break
+        minor = tuple(p + 1 for p in lam[:i]) + lam[i + 1 :]
+        factor, sign = ((index,) if index else ()), (-1 if i % 2 else 1)
+        pairs.extend((_merged(key, factor), sign * c) for key, c in _s_in_h(minor).items())
+    return accumulate(pairs)
 
 
 @memo
 def _m_in_s(mu: Partition) -> dict[Partition, int]:
-    """The Schur expansion of m_mu, the row mu of the inverse Kostka matrix:
-    forward substitution over the lam below mu in dominance, in canonical
-    order, reading K_{kappa lam} from the Pieri column of lam.
+    """The Schur expansion of m_mu, the row mu of the inverse Kostka matrix.
 
-    The canonical order refines dominance downward, so the system is
-    unitriangular over the integers.  Restricting it to the interval drops
-    only zeros: K_{kappa lam} vanishes unless lam is below kappa, and every
-    kappa in the row is below mu.
+    The h-expansion of s_lam is the column lam of the same inverse (h_mu =
+    sum K_{lam mu} s_lam, inverted), so the entry at lam is the h_mu
+    coefficient of s_lam, read from the memo of `_s_in_h`; it vanishes
+    unless lam is below mu in dominance.
     """
-    row: dict[Partition, int] = {}
-    for lam in partitions_of(sum(mu)):
-        if not dominates(mu, lam):
-            continue
-        column = _h_in_s(lam)
-        v = (1 if lam == mu else 0) - sum(
-            c * column.get(kappa, 0) for kappa, c in row.items()
+    return {
+        lam: v
+        for lam in partitions_of(sum(mu))
+        if dominates(mu, lam) and (v := _s_in_h(lam).get(mu))
+    }
+
+
+@memo
+def _h_in_e(mu: Partition) -> dict[Partition, int]:
+    """The e-expansion of h_mu.  One part n follows Newton's relation
+
+        h_n = sum_{i=1..n} (-1)^(i-1) e_i h_{n-i}
+
+    (Macdonald, Symmetric Functions and Hall Polynomials, I (2.6')), and a
+    longer mu multiplies its prefix by its last part; products in the e
+    basis join partitions.  Read with the bases swapped it is the
+    h-expansion of e_mu, its image under the duality involution.
+    """
+    if not mu:
+        return {(): 1}
+    if len(mu) > 1:
+        last = _h_in_e(mu[-1:])
+        return accumulate(
+            (_merged(a, b), c * d) for a, c in _h_in_e(mu[:-1]).items() for b, d in last.items()
         )
-        if v:
-            row[lam] = v
-    return row
+    n = mu[0]
+    return accumulate(
+        (_merged(key, (i,)), -c if i % 2 == 0 else c)
+        for i in range(1, n + 1)
+        for key, c in _h_in_e((n - i,) if n > i else ()).items()
+    )
+
+
+@memo
+def _matrix_count(rows: Partition, cols: Partition, binary: bool) -> int:
+    """The number of matrices with row sums rows and column sums cols (of
+    equal total) whose entries are nonnegative integers, or only 0 and 1
+    when binary.
+
+    The first row takes an entry from one column at a time.  Partial rows
+    that leave the same multiset of column sums and the same amount still
+    to place merge, and a branch whose amount left exceeds what the later
+    columns can take is cut, so every partial row left after the last
+    column is complete.  The count does not depend on the order of the
+    columns, so the other rows recurse on the sorted column sums left.
+    """
+    if len(rows) <= 1:
+        # the last row takes all that is left, which must fit its entries
+        return 1 if not binary or not cols or cols[0] == 1 else 0
+    cap = 1 if binary else rows[0]
+    room = [0] * (len(cols) + 1)  # room[j]: what columns j, j+1, ... can take
+    for j in range(len(cols) - 1, -1, -1):
+        room[j] = room[j + 1] + min(cols[j], cap)
+    partial = {((), rows[0]): 1}  # (column sums left, amount to place): ways
+    for j, c in enumerate(cols):
+        partial = accumulate(
+            ((_merged(kept, (c - t,) if c > t else ()), todo - t), w)
+            for (kept, todo), w in partial.items()
+            for t in range(max(0, todo - room[j + 1]), min(c, cap, todo) + 1)
+        )
+    return sum(w * _matrix_count(rows[1:], kept, binary) for (kept, _), w in partial.items())
+
+
+@memo
+def _in_m(mu: Partition, binary: bool) -> dict[Partition, int]:
+    """The monomial expansion of h_mu, or of e_mu when binary: the m_kappa
+    coefficient counts the matrices with row sums mu and column sums kappa,
+    with nonnegative integer entries for h and 0/1 entries for e (Stanley,
+    Enumerative Combinatorics 2, Props. 7.4.1 and 7.5.1).  A 0/1 matrix
+    exists only for kappa below the conjugate of mu in dominance."""
+    top = conjugate(mu) if binary else None
+    return {
+        kappa: v
+        for kappa in partitions_of(sum(mu))
+        if (top is None or dominates(top, kappa)) and (v := _matrix_count(mu, kappa, binary))
+    }
 
 
 def _expand(f: SymFunc, target: str, image) -> SymFunc:
@@ -207,36 +303,38 @@ def _expand(f: SymFunc, target: str, image) -> SymFunc:
     return SymFunc._trusted(target, accumulate(pairs))
 
 
+# The image of one basis element under each direct route; m into h or e
+# has none.  e_mu is omega(h_mu) and s_lam is omega(s_lam'), so the e
+# routes read the h memos with shapes conjugated or tags swapped.
+_IMAGES = {
+    ("h", "s"): _h_in_s,
+    ("e", "s"): lambda mu: {conjugate(lam): v for lam, v in _h_in_s(mu).items()},
+    ("m", "s"): _m_in_s,
+    ("s", "m"): _s_in_m,
+    ("s", "h"): _s_in_h,
+    ("s", "e"): lambda lam: _s_in_h(conjugate(lam)),
+    ("h", "e"): _h_in_e,
+    ("e", "h"): _h_in_e,
+    ("h", "m"): lambda mu: _in_m(mu, False),
+    ("e", "m"): lambda mu: _in_m(mu, True),
+}
+
+
 def _to_s(f: SymFunc) -> SymFunc:
-    if f.basis == "s":
-        return f
-    if f.basis == "m":
-        return _expand(f, "s", _m_in_s)
-    if f.basis == "h":
-        return _expand(f, "s", _h_in_s)
-    # e_mu is omega(h_mu): the same column with conjugated shapes
-    return _expand(f, "s", lambda mu: {conjugate(lam): v for lam, v in _h_in_s(mu).items()})
-
-
-def _from_s(f: SymFunc, target: str) -> SymFunc:
-    if target == "s":
-        return f
-    if target == "m":
-        return _expand(f, "m", _s_in_m)
-    if target == "h":
-        return _expand(f, "h", _s_in_h)
-    # s_lam = det(e_{lam'_i - i + j}): the determinant of the conjugate,
-    # read in e
-    return _expand(f, "e", lambda lam: _s_in_h(conjugate(lam)))
+    return f if f.basis == "s" else _expand(f, "s", _IMAGES[f.basis, "s"])
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
-    """Exact change of basis; round trips are the identity."""
+    """Exact change of basis; round trips are the identity.  m into h or e
+    passes through s; every other pair has a route of its own."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if target == f.basis:
         return f
-    return _from_s(_to_s(f), target)
+    route = _IMAGES.get((f.basis, target))
+    if route is None:
+        return _expand(_to_s(f), target, _IMAGES["s", target])
+    return _expand(f, target, route)
 
 
 # ---------------------------------------------------------------------------

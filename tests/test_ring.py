@@ -52,6 +52,8 @@ def test_symfunc_construction_normalizes():
     f = SymFunc("s", {(3, 1, 0): 2, (2,): 0})
     assert f.terms == {(3, 1): 2}
     assert SymFunc("s", [((2,), 1), ((2,), -1)]).terms == {}
+    assert SymFunc.element("s", [2, 1, 0], 3).terms == {(2, 1): 3}
+    assert SymFunc.element("h", [2, 1], 0).terms == {}
     with pytest.raises(ValueError):
         SymFunc("q", {})
     with pytest.raises(ValueError):
@@ -271,17 +273,17 @@ def _column(matrix, lam):
 
 
 def test_convert_s_to_h_matches_determinant_expansion():
-    # two fully independent routes: the signed permutation expansion of the
-    # determinant (which convert now runs) vs the forward-substitution
-    # inverse, read column by column
+    # the first-column recursion that convert runs against the other side,
+    # raising.jacobi_trudi_expand, the signed walk over the permutations of
+    # the same determinant; s -> e reads the recursion at the conjugate
     from schurkit.raising import jacobi_trudi_expand
 
-    for k in range(9):
-        inverse = kostka_inverse(k)
-        for lam in partitions_of(k):
-            via_inverse = _column(inverse, lam)
-            assert via_inverse == jacobi_trudi_expand(lam), lam
-            assert convert(s(lam), "h").terms == via_inverse, lam
+    shapes = [lam for k in range(12) for lam in partitions_of(k)]
+    shapes += [shape for k in range(12, 15) for shape in ((k,), (1,) * k)]
+    for lam in shapes:
+        expected = jacobi_trudi_expand(lam)
+        assert convert(s(lam), "h").terms == expected, lam
+        assert convert(s(conjugate(lam)), "e").terms == expected, lam
 
 
 @functools.cache
@@ -303,10 +305,10 @@ def _chain_kostka(k):
 
 
 def test_convert_m_to_s_is_inverse_kostka_row():
-    # forward substitution restricted to one dominance interval against the
-    # whole-degree inverse of the chain counts; kostka_inverse, built from
-    # the Pieri columns, is held to the same rows
-    for k in range(10):
+    # rows read from the first-column recursion against the other side,
+    # _chain_kostka's whole-degree inverse of the tableau-chain counts;
+    # kostka_inverse, which copies the same rows, is held to it too
+    for k in range(11):
         inverse = _chain_kostka(k)[1]
         assert kostka_inverse(k) == inverse, k
         for mu in partitions_of(k):
@@ -361,22 +363,89 @@ def _matrix_convert(f, target):
 
 
 def test_convert_builds_no_whole_degree_matrix(monkeypatch):
+    # nor walks the determinant's permutations, which stay a check side
     from schurkit import ring
 
     def boom(*args):
-        raise AssertionError("convert built a whole-degree matrix")
+        raise AssertionError("convert built a whole-degree matrix or walked permutations")
 
     pairs = [(a, b) for a in ring.BASES for b in ring.BASES if a != b]
     pool = [lam for k in range(9) for lam in partitions_of(k)]
     schurkit.clear_caches()
     monkeypatch.setattr(ring, "kostka_matrix", boom)
     monkeypatch.setattr(ring, "kostka_inverse", boom)
+    monkeypatch.setattr(ring, "jacobi_trudi_expand", boom)
     results = {
         (a, b, lam): convert(SymFunc.element(a, lam), b) for a, b in pairs for lam in pool
     }
     monkeypatch.undo()
     for (a, b, lam), g in results.items():
         assert g == _matrix_convert(SymFunc.element(a, lam), b), (a, b, lam)
+
+
+def test_newton_h_e_matches_route_through_s():
+    # Newton's relation against the other side, _matrix_convert: h into s by
+    # the chain-count Kostka column, then s into e by its inverse
+    for k in range(10):
+        for mu in partitions_of(k):
+            for a, b in (("h", "e"), ("e", "h")):
+                f = SymFunc.element(a, mu)
+                assert convert(f, b) == _matrix_convert(f, b), (a, mu)
+
+
+def test_matrix_counts_match_route_through_s():
+    # the h -> m and e -> m matrix counts against the other side,
+    # _matrix_convert: into s by the chain-count Kostka column, then into m
+    # by its row, i.e. sum_lam K_{lam mu} K_{lam kappa}
+    for k in range(10):
+        for mu in partitions_of(k):
+            for a in ("h", "e"):
+                f = SymFunc.element(a, mu)
+                assert convert(f, "m") == _matrix_convert(f, "m"), (a, mu)
+
+
+def test_matrix_counts_closed_forms():
+    # h_(1^k) = e_(1^k) has the multinomials k!/prod(kappa_i!) in m, and
+    # h_(k) has every coefficient 1: closed forms past the degrees at which
+    # the tests run the route through s
+    for k in range(15):
+        multinomials = {
+            kappa: math.factorial(k) // math.prod(map(math.factorial, kappa))
+            for kappa in partitions_of(k)
+        }
+        for a in ("h", "e"):
+            assert convert(SymFunc.element(a, (1,) * k), "m").terms == multinomials, k
+        assert convert(SymFunc.element("h", (k,)), "m").terms == dict.fromkeys(
+            partitions_of(k), 1
+        )
+
+
+def test_identity_suites_do_not_reach_the_routes_they_check(monkeypatch):
+    # newton checks the h/e convolution through Pieri columns and LR
+    # products, cauchy pairs the chain counts with the determinant: neither
+    # may read Newton's relation, the matrix counts or the inverse rows
+    from schurkit import ring
+
+    def boom(*args):
+        raise AssertionError("an identity suite reached a route it checks")
+
+    schurkit.clear_caches()
+    for pair in (("h", "e"), ("e", "h"), ("h", "m"), ("e", "m"), ("m", "s")):
+        monkeypatch.setitem(ring._IMAGES, pair, boom)
+    assert run_suite("newton", 8).ok
+    assert run_suite("cauchy", 5).ok
+
+
+def test_degree_arguments_must_be_int():
+    # True and 3.0 equal 1 and 3, but are not degrees
+    for bad in (True, 3.0):
+        for fn in (partitions_of, kostka_matrix, kostka_inverse):
+            with pytest.raises(TypeError):
+                fn(bad)
+        with pytest.raises(TypeError):
+            partitions_of(3, max_len=bad)
+        with pytest.raises(TypeError):
+            partitions_of(3, max_part=bad)
 
 
 def test_omega_examples():
@@ -484,8 +553,8 @@ def test_skew_mirror_generalization():
 
 
 def test_inverse_matrix_cold_start():
-    # with every memo empty, the inverse row recurses into the forward Pieri
-    # columns, each a memo that fills during the outer build
+    # with every memo empty, the inverse row recurses into the determinant's
+    # minors, each a memo that fills during the outer build
     schurkit.clear_caches()
     f = SymFunc.element("m", (3, 2, 1))
     assert omega(omega(f)) == f
