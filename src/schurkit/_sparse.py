@@ -12,6 +12,8 @@ import json
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .partitions import _int, term_key
+
 _set = object.__setattr__
 
 
@@ -27,19 +29,13 @@ def accumulate(pairs: Iterable[tuple], start: Mapping = ()) -> dict:
     return acc
 
 
-def _exact(c) -> int:
-    if type(c) is not int:
-        raise TypeError(f"coefficients must be int, got {c!r}")
-    return c
-
-
 class SparseCombination:
     """A sparse integer combination of canonical keys under one header.
 
     Subclasses name the JSON fields (`_head_name`, `_key_name`) and supply
-    `_check_head`, `_key` (validates and canonicalises one key), `_sort_key`
-    (the term order), `_body` (a term's text without its coefficient) and
-    `_require_same_head`.
+    `_check_head`, `_key` (validates and canonicalises one key), `_body` (a
+    term's text without its coefficient) and `_require_same_head`.  Terms
+    print in the canonical order of `term_key`.
     """
 
     __slots__ = ("_head", "_terms")
@@ -48,7 +44,7 @@ class SparseCombination:
         self._check_head(head)
         _set(self, "_head", head)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        _set(self, "_terms", accumulate((self._key(k), _exact(c)) for k, c in items))
+        _set(self, "_terms", accumulate((self._key(k), _int(c, "coefficients")) for k, c in items))
 
     @classmethod
     def _trusted(cls, head, terms: dict):
@@ -104,7 +100,7 @@ class SparseCombination:
         return len(self._terms)
 
     def _ordered(self) -> list:
-        return sorted(self._terms, key=self._sort_key)
+        return sorted(self._terms, key=term_key)
 
     def __str__(self) -> str:
         bits: list[str] = []
@@ -134,7 +130,7 @@ class SparseCombination:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        # coefficients travel as decimal strings; anything else meets _exact
+        # coefficients travel as decimal strings; the constructor rejects any other type
         return cls(
             data[cls._head_name],
             [

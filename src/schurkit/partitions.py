@@ -24,11 +24,23 @@ def _ints(seq: Sequence[int], what: str) -> tuple[int, ...]:
     return out
 
 
+def _int(x: int, what: str) -> int:
+    """x itself when it is an exact integer; a float or bool is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be int, got {x!r}")
+    return x
+
+
+def _trim(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """parts without its trailing zeros."""
+    while parts and not parts[-1]:
+        parts = parts[:-1]
+    return parts
+
+
 def normalize(seq: Sequence[int]) -> Partition:
     """Canonical form of a partition: trailing zeros stripped; rejects non-partitions."""
-    parts = _ints(seq, "partition parts")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    parts = _trim(_ints(seq, "partition parts"))
     if any(p <= 0 for p in parts) or any(
         parts[i] < parts[i + 1] for i in range(len(parts) - 1)
     ):
@@ -201,7 +213,7 @@ def horizontal_strip_extensions(
     the walk runs on lam as validated here, without a second check.
     """
     lam = normalize(lam)
-    if p < 0:
+    if _int(p, "strip size") < 0:
         raise ValueError("strip size must be nonnegative")
     bound = ((lam[0] + p,) if lam else (p,)) + lam
     if max_len is not None:
@@ -215,9 +227,9 @@ def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu <= lam with lam/mu a horizontal p-strip, canonical order: the
     mu with lam_{i+1} <= mu_i <= lam_i, i.e. the (lam_1 - p)-strips over lam[1:]."""
     lam = normalize(lam)
-    if p < 0:
+    if _int(p, "strip size") < 0:
         raise ValueError("strip size must be nonnegative")
-    return horizontal_strips_within(lam[1:], lam, (lam[0] if lam else 0) - p)
+    return _strips(lam[1:], lam, (lam[0] if lam else 0) - p)
 
 
 def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:
@@ -232,11 +244,10 @@ def partitions_of(
     k: int, max_len: Optional[int] = None, max_part: Optional[int] = None
 ) -> list[Partition]:
     """All partitions of k subject to the bounds, in canonical term order."""
-    if type(k) is not int:
-        raise TypeError(f"degree must be int, got {k!r}")
+    _int(k, "degree")
     for bound in (max_len, max_part):
-        if bound is not None and type(bound) is not int:
-            raise TypeError(f"length and part bounds must be int, got {bound!r}")
+        if bound is not None:
+            _int(bound, "length and part bounds")
     if k < 0:
         raise ValueError("cannot partition a negative integer")
     cap = k if max_part is None else min(k, max_part)
@@ -276,9 +287,7 @@ def partition_count(k: int) -> int:
 
     Kept independent of partitions_of so the two can check each other.
     """
-    if type(k) is not int:
-        raise TypeError(f"degree must be int, got {k!r}")
-    return _partition_count(k)
+    return _partition_count(_int(k, "degree"))
 
 
 @memo

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .partitions import (
     Partition,
+    _int,
     _interleaves,
     _ints,
     _strip_chains,
@@ -30,7 +31,6 @@ from .partitions import (
     pad,
     partitions_of,
     subpartitions,
-    term_key,
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
@@ -47,19 +47,14 @@ class SparsePoly(SparseCombination):
     __slots__ = ()
     _head_name = "n"
     _key_name = "exps"
-    _sort_key = staticmethod(term_key)
 
     @staticmethod
     def _check_head(n) -> None:
-        if type(n) is not int:
-            raise TypeError(f"variable count must be int, got {n!r}")
-        if n < 0:
+        if _int(n, "variable count") < 0:
             raise ValueError("variable count must be nonnegative")
 
     def _key(self, exps) -> tuple[int, ...]:
-        exps = tuple(exps)
-        if any(type(e) is not int for e in exps):
-            raise TypeError(f"exponents must be int, got {exps!r}")
+        exps = _ints(exps, "exponents")
         if len(exps) != self._head or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps!r} for {self._head} variables")
         return exps
@@ -170,12 +165,6 @@ def _symmetric_sum(r: int, n: int, choose) -> SparsePoly:
     return SparsePoly._trusted(n, terms)
 
 
-def _check_degree(r) -> None:
-    # before any memo: 2.0 and True hash equal to 2 and 1
-    if type(r) is not int:
-        raise TypeError(f"degree must be int, got {r!r}")
-
-
 @memo
 def _eval_h(r: int, n: int) -> SparsePoly:
     return _symmetric_sum(r, n, itertools.combinations_with_replacement)
@@ -183,14 +172,15 @@ def _eval_h(r: int, n: int) -> SparsePoly:
 
 def eval_h(r: int, n: int) -> SparsePoly:
     """The complete homogeneous function of degree r in n variables."""
-    _check_degree(r)
+    # before the memo: 2.0 and True hash equal to 2 and 1
+    _int(r, "degree")
     SparsePoly._check_head(n)
     return _eval_h(r, n)
 
 
 def eval_e(r: int, n: int) -> SparsePoly:
     """The elementary function of degree r in n variables (zero for r > n)."""
-    _check_degree(r)
+    _int(r, "degree")
     SparsePoly._check_head(n)
     return _symmetric_sum(r, n, itertools.combinations)
 
@@ -449,7 +439,8 @@ def product_oracle(
     mu, nu = normalize(mu), normalize(nu)
     if n < sum(mu) + sum(nu):
         raise ValueError(f"need at least {sum(mu) + sum(nu)} variables for faithfulness")
-    prod = eval_s_tableau(mu, (), n) * eval_s_tableau(nu, (), n)
+    SparsePoly._check_head(n)
+    prod = _eval_s(mu, (), n) * _eval_s(nu, (), n)
     work = dict(prod._terms)
     coeffs: dict[Partition, int] = {}
     while work:

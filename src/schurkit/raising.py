@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from ._sparse import accumulate
-from .partitions import Partition, _ints, normalize, pad
+from .partitions import Partition, _ints, _trim, pad
 
 
 class SignedPartition(NamedTuple):
@@ -71,7 +71,7 @@ def straighten(alpha: Sequence[int]) -> SignedPartition:
     parity, and subtract the staircase back off.  The length of alpha is the
     working length; trailing zeros do not change the outcome.
     """
-    alpha = tuple(alpha)
+    alpha = _ints(alpha, "index vector")
     ell = len(alpha)
     shifted = [alpha[i] + (ell - 1 - i) for i in range(ell)]
     if len(set(shifted)) != ell:
@@ -80,7 +80,7 @@ def straighten(alpha: Sequence[int]) -> SignedPartition:
         return ZERO
     order = sorted(range(ell), key=shifted.__getitem__, reverse=True)
     mu = tuple(shifted[order[i]] - (ell - 1 - i) for i in range(ell))
-    return SignedPartition(perm_sign(order), normalize(mu))
+    return SignedPartition(perm_sign(order), _trim(mu))
 
 
 def adjacent_swap_identity_check(

@@ -22,6 +22,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
     Partition,
+    _int,
+    _trim,
     compositions_of,
     conjugate,
     contains,
@@ -32,13 +34,12 @@ from .partitions import (
     normalize,
     pad,
     partitions_of,
-    term_key,
     vertical_strip_extensions,
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
 from .raising import jacobi_trudi_expand, straighten
-from .tableaux import _kostka_chains, _lr_fillings, kostka, lr_coefficient
+from .tableaux import _kostka_chains, _lr_coefficient, _lr_fillings
 
 BASES = ("s", "h", "e", "m")
 
@@ -58,7 +59,6 @@ class SymFunc(SparseCombination):
     __slots__ = ()
     _head_name = "basis"
     _key_name = "partition"
-    _sort_key = staticmethod(term_key)
     _key = staticmethod(normalize)
 
     @staticmethod
@@ -281,7 +281,6 @@ def _matrix_count(rows: Partition, cols: Partition, binary: bool) -> int:
     return sum(w * _matrix_count(rows[1:], kept, binary) for (kept, _), w in partial.items())
 
 
-@memo
 def _in_m(mu: Partition, binary: bool) -> dict[Partition, int]:
     """The monomial expansion of h_mu, or of e_mu when binary: the m_kappa
     coefficient counts the matrices with row sums mu and column sums kappa,
@@ -342,7 +341,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
 
 
 def _pieri(p: int, f: SymFunc, extensions, name: str) -> SymFunc:
-    if p < 0:
+    if _int(p, "strip size") < 0:
         raise ValueError("strip size must be nonnegative")
     if f.basis != "s":
         raise BasisMismatchError(f"{name} acts on the s-basis; convert first")
@@ -409,7 +408,7 @@ def skew_schur(lam: Sequence[int], mu: Sequence[int]) -> SymFunc:
         {
             nu: c
             for nu in partitions_of(sum(lam) - sum(mu))
-            if contains(nu, lam) and (c := lr_coefficient(lam, mu, nu))
+            if contains(nu, lam) and (c := _lr_coefficient(lam, mu, nu))
         },
     )
 
@@ -477,7 +476,7 @@ def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
         return not skew_schur(lam, mu)
     ell = len(lam)
     lhs = _signed_sum(
-        (tuple(lam[i] - alpha[i] for i in range(ell)), kostka(mu, (), alpha))
+        (tuple(lam[i] - alpha[i] for i in range(ell)), _kostka_chains(mu, (), _trim(alpha)))
         for alpha in compositions_of(sum(mu), ell)
     )
     return SymFunc._trusted("s", lhs) == skew_schur(lam, mu)

@@ -21,9 +21,11 @@ from ._memo import memo
 from ._sparse import accumulate
 from .partitions import (
     Partition,
+    _int,
     _ints,
     _strip_chains,
     _strips,
+    _trim,
     contains,
     normalize,
     pad,
@@ -188,15 +190,14 @@ def enumerate_ssyt(
     outer, inner = normalize(outer), normalize(inner)
     if not contains(inner, outer):
         raise ValueError(f"inner shape {inner} not contained in {outer}")
-    if max_entry < 1:
+    if _int(max_entry, "max_entry") < 1:
         raise ValueError("max_entry must be at least 1")
     sizes: tuple[Optional[int], ...]
     if content is not None:
         content = _ints(content, "content")
         if any(c < 0 for c in content):
             return []
-        while content and content[-1] == 0:
-            content = content[:-1]
+        content = _trim(content)
         if len(content) > max_entry:
             return []
         if sum(content) != sum(outer) - sum(inner):
@@ -231,9 +232,7 @@ def kostka(outer: Sequence[int], inner: Sequence[int], alpha: Sequence[int]) -> 
         return 0
     if sum(alpha) != sum(outer) - sum(inner):
         return 0
-    while alpha and alpha[-1] == 0:
-        alpha = alpha[:-1]
-    return _kostka_chains(outer, inner, alpha)
+    return _kostka_chains(outer, inner, _trim(alpha))
 
 
 def is_lr_tableau(tab: Tableau) -> bool:
@@ -261,7 +260,7 @@ def lr_tableaux(
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
         return []
-    cands = enumerate_ssyt(lam, mu, max_entry=max(len(nu), 1), content=nu)
+    cands = (_chain_to_tableau(lam, mu, chain) for chain in _strip_chains(lam, mu, nu))
     return [t for t in cands if is_lr_tableau(t)]
 
 
@@ -335,10 +334,12 @@ def signed_lr_pairs(
     """All pairs (w, T): w permutes the staircase-shifted content of nu and T
     is a semistandard filling of lam/mu realizing that content."""
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    if not contains(mu, lam):
+        raise ValueError(f"inner shape {mu} not contained in {lam}")
     return [
-        SignedPair(perm, tab)
+        SignedPair(perm, _chain_to_tableau(lam, mu, chain))
         for perm, forced in _forced_contents(nu)
-        for tab in enumerate_ssyt(lam, mu, max_entry=max(len(nu), 1), content=forced)
+        for chain in _strip_chains(lam, mu, forced)
     ]
 
 
@@ -346,12 +347,15 @@ def signed_lr_sum(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> i
     """The alternating sum of tableau counts over permuted contents.
 
     No cancellation shortcut: every permutation with a nonnegative forced
-    content contributes its full signed count.
+    content contributes its full signed count.  Each forced content has |nu|
+    boxes, so the shape is checked once, not once per permutation.
     """
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
+        return 0
     total = 0
     for perm, forced in _forced_contents(nu):
-        count = kostka(lam, mu, forced)
+        count = _kostka_chains(lam, mu, _trim(forced))
         if count:
             total += perm_sign(perm) * count
     return total

@@ -14,6 +14,7 @@ import random
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .partitions import (
+    _int,
     conjugate,
     dominates,
     partition_count,
@@ -297,7 +298,7 @@ ACCEPTANCE_BOUNDS: dict[str, int] = {
 def run_suite(name: str, bound: int, progress: Progress = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if bound < 0:
+    if _int(bound, "bound") < 0:
         raise ValueError("bound must be nonnegative")
     checked, failures = 0, []
     for verdict in SUITES[name](bound, progress):

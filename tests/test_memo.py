@@ -46,8 +46,9 @@ def test_every_cache_is_registered():
 
 
 def test_unread_values_are_not_memoised():
-    # the whole-degree matrices are rebuilt from the per-term memos, and
-    # e_r in n variables is cheap to rebuild
+    # the whole-degree matrices are rebuilt from the per-term memos, e_r in
+    # n variables is cheap to rebuild, and an h or e row in m is read once
+    # per conversion while the matrix counts below it keep their memo
     registered = {id(f) for f in _memo._registry}
-    for fn in (ring.kostka_matrix, ring.kostka_inverse, polyval.eval_e):
+    for fn in (ring.kostka_matrix, ring.kostka_inverse, polyval.eval_e, ring._in_m):
         assert id(fn) not in registered and not hasattr(fn, "cache_info"), fn.__name__

@@ -92,6 +92,15 @@ def test_straighten_examples():
     assert straighten((2, -1)).sign == 0
 
 
+@pytest.mark.parametrize("alpha", [(1.0, 2), (True, 0), (1.5, 2)])
+def test_straighten_checks_its_input(alpha):
+    # as apply_raising and jacobi_trudi_expand do; a float or bool entry
+    # is not an index, whatever partition it would straighten to
+    for fn in (straighten, jacobi_trudi_expand, lambda a: apply_raising(a, 1, 2)):
+        with pytest.raises(TypeError, match="index vector must be int"):
+            fn(alpha)
+
+
 def test_straighten_ignores_trailing_zeros():
     assert straighten((2, 1, 0, 0)) == straighten((2, 1))
     assert straighten((1, 3, 0)) == straighten((1, 3))

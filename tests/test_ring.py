@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import schurkit
-from schurkit.partitions import conjugate, contains, partitions_of, subpartitions
+from schurkit.partitions import (
+    conjugate,
+    contains,
+    partitions_of,
+    subpartitions,
+    vertical_strip_extensions,
+)
 from schurkit.ring import (
     BasisMismatchError,
     SymFunc,
@@ -27,7 +33,7 @@ from schurkit.ring import (
     skew_mirror_check,
     skew_schur,
 )
-from schurkit.tableaux import kostka, lr_coefficient, lr_tableaux
+from schurkit.tableaux import enumerate_ssyt, kostka, lr_coefficient, lr_tableaux
 from schurkit.verification import run_suite
 
 
@@ -446,6 +452,17 @@ def test_degree_arguments_must_be_int():
             partitions_of(3, max_len=bad)
         with pytest.raises(TypeError):
             partitions_of(3, max_part=bad)
+        # sizes of strips, entries and bounds; True once passed as 1
+        for call in (
+            lambda: pieri_h(bad, s((1,))),
+            lambda: pieri_e(bad, s((1,))),
+            lambda: pieri_h(bad, SymFunc.zero("s")),
+            lambda: vertical_strip_extensions((1,), bad),
+            lambda: enumerate_ssyt((1,), (), bad),
+            lambda: run_suite("newton", bad),
+        ):
+            with pytest.raises(TypeError, match="must be int"):
+                call()
 
 
 def test_omega_examples():
