@@ -229,7 +229,7 @@ def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:
     lam = normalize(lam)
     if _int(p, "strip size") < 0:
         raise ValueError("strip size must be nonnegative")
-    return _strips(lam[1:], lam, (lam[0] if lam else 0) - p)
+    return horizontal_strips_within(lam[1:], lam, (lam[0] if lam else 0) - p)
 
 
 def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:

@@ -12,6 +12,7 @@ import schurkit
 from schurkit.partitions import (
     conjugate,
     contains,
+    horizontal_strip_reductions,
     partitions_of,
     subpartitions,
     vertical_strip_extensions,
@@ -458,6 +459,7 @@ def test_degree_arguments_must_be_int():
             lambda: pieri_e(bad, s((1,))),
             lambda: pieri_h(bad, SymFunc.zero("s")),
             lambda: vertical_strip_extensions((1,), bad),
+            lambda: horizontal_strip_reductions((2, 1), bad),
             lambda: enumerate_ssyt((1,), (), bad),
             lambda: run_suite("newton", bad),
         ):
