@@ -76,7 +76,11 @@ def term_key(lam: Sequence[int]):
 
 def conjugate(lam: Sequence[int]) -> Partition:
     """Transpose of the Young diagram: conjugate(lam)[i-1] = #{j : lam_j >= i}."""
-    lam = normalize(lam)
+    return _conjugate(normalize(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    # trusted: a canonical partition
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
@@ -84,7 +88,7 @@ def conjugate(lam: Sequence[int]) -> Partition:
 
 def contains(inner: Sequence[int], outer: Sequence[int]) -> bool:
     """Componentwise containment inner_i <= outer_i of Young diagrams."""
-    inner, outer = tuple(inner), tuple(outer)
+    inner, outer = _ints(inner, "inner parts"), _ints(outer, "outer parts")
     width = max(len(inner), len(outer))
     for i in range(width):
         a = inner[i] if i < len(inner) else 0
@@ -101,7 +105,7 @@ def dominates(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     Raises ValueError when the totals differ; dominance is only defined on
     vectors of equal size.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
+    alpha, beta = _ints(alpha, "alpha entries"), _ints(beta, "beta entries")
     if sum(alpha) != sum(beta):
         raise ValueError(
             f"dominance undefined: |{alpha!r}| = {sum(alpha)} != {sum(beta)} = |{beta!r}|"
@@ -235,7 +239,7 @@ def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:
 def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu with lam <= mu and mu/lam a vertical p-strip, canonical order."""
     return sorted(
-        (conjugate(mu) for mu in horizontal_strip_extensions(conjugate(lam), p)),
+        (_conjugate(mu) for mu in horizontal_strip_extensions(conjugate(lam), p)),
         key=term_key,
     )
 

@@ -6,12 +6,15 @@ coefficients.  Exponent vectors are dense tuples of fixed length n inside a
 sparse term map.  Only inside a product and inside the tableau walk of
 eval_s_tableau are they packed into single integers, a fixed number of
 bytes per variable with x_1 most significant (Kronecker substitution);
-every value either returns carries tuples again.
+every value either returns carries tuples again.  A product over disjoint
+alphabets joins exponent vectors end to end instead: the identity checks
+sum such products, and plain linear combinations, in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from operator import mul, sub
 from typing import Sequence
 
@@ -21,12 +24,11 @@ from .partitions import (
     _interleaves,
     _ints,
     _strip_chains,
+    _conjugate,
     _strips,
     compositions_of,
-    conjugate,
     contains,
     horizontal_strip_extensions,
-    horizontal_strip_reductions,
     normalize,
     pad,
     partitions_of,
@@ -127,7 +129,8 @@ def _unpack(key: int, width: int, n: int) -> tuple[int, ...]:
 
 def embed(p: SparsePoly, n: int, offset: int = 0) -> SparsePoly:
     """View p inside n variables, its own variables starting at slot offset."""
-    if offset < 0 or offset + p.n > n:
+    SparsePoly._check_head(n)
+    if _int(offset, "offset") < 0 or offset + p.n > n:
         raise ValueError("embedding does not fit")
     return SparsePoly._trusted(
         n,
@@ -214,6 +217,10 @@ def eval_m(lam: Sequence[int], n: int) -> SparsePoly:
     into n exponent slots; zero when lam has more parts than variables."""
     lam = normalize(lam)
     SparsePoly._check_head(n)
+    return _eval_m(lam, n)
+
+
+def _eval_m(lam: Partition, n: int) -> SparsePoly:
     if len(lam) > n:
         return SparsePoly.zero(n)
     return SparsePoly._trusted(n, dict.fromkeys(_distinct_permutations(pad(lam, n)), 1))
@@ -287,20 +294,34 @@ def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> Sp
 
 def eval_sym_func(f, n: int) -> SparsePoly:
     """Evaluate a basis-tagged symmetric function in n variables, termwise."""
-    total = SparsePoly.zero(n)
-    for lam, c in f._terms.items():
+    SparsePoly._check_head(n)
+
+    def image(lam: Partition) -> SparsePoly:
         if f.basis == "s":
-            p = eval_s_tableau(lam, (), n)
-        elif f.basis == "h":
-            p = eval_h_monomial(lam, n)
-        elif f.basis == "e":
-            p = SparsePoly.one(n)
-            for part in lam:
-                p = p * _symmetric_sum(part, n, itertools.combinations)
-        else:
-            p = eval_m(lam, n)
-        total = total + c * p
-    return total
+            return _eval_s(lam, (), n)
+        if f.basis == "h":
+            return _h_monomial(lam, n)
+        if f.basis == "e":
+            return reduce(mul, (eval_e(part, n) for part in lam), SparsePoly.one(n))
+        return _eval_m(lam, n)
+
+    return _joined_sum(n, ((c, image(lam), _ONE) for lam, c in f._terms.items()))
+
+
+_ONE = SparsePoly.one(0)  # as q in _joined_sum: a plain linear combination
+
+
+def _joined_sum(n: int, terms) -> SparsePoly:
+    """The sum of c * p(x) * q(y) over the (c, p, q) in terms, x the first p.n
+    and y the last q.n of the n variables, in one accumulate pass: a term of
+    p(x) q(y) joins an exponent vector of p to one of q."""
+    pairs = (
+        (ex + ey, c * cx * cy)
+        for c, p, q in terms
+        for ex, cx in p._terms.items()
+        for ey, cy in q._terms.items()
+    )
+    return SparsePoly._trusted(n, accumulate(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +331,7 @@ def eval_sym_func(f, n: int) -> SparsePoly:
 def alternant(alpha: Sequence[int], n: int) -> SparsePoly:
     """The antisymmetrized monomial: sum of sign(w) x^{w(alpha)} over all
     permutations w of the n variables."""
+    SparsePoly._check_head(n)
     alpha = _ints(alpha, "exponents")
     if any(a < 0 for a in alpha):
         raise ValueError("alternant exponents must be nonnegative")
@@ -336,10 +358,10 @@ def bialternant_check(lam: Sequence[int], n: int) -> bool:
     staircase-shifted alternant equals the tableau polynomial times the
     staircase alternant."""
     lam = normalize(lam)
-    if len(lam) > n:
+    if len(lam) > _int(n, "variable count"):
         raise ValueError(f"partition has more than {n} parts")
     lhs = alternant(_staircase_shift(lam, n), n)
-    rhs = eval_s_tableau(lam, (), n) * alternant(staircase(n), n)
+    rhs = _eval_s(lam, (), n) * alternant(staircase(n), n)
     return lhs == rhs
 
 
@@ -347,13 +369,12 @@ def alternant_pieri_check(lam: Sequence[int], r: int, n: int) -> bool:
     """Check that multiplying a shifted alternant by a complete function
     expands over horizontal r-strip extensions of bounded length."""
     lam = normalize(lam)
-    if len(lam) > n:
+    if len(lam) > _int(n, "variable count"):
         raise ValueError(f"partition has more than {n} parts")
-    if r < 0:
-        raise ValueError("strip size must be nonnegative")
-    lhs = alternant(_staircase_shift(lam, n), n) * eval_h(r, n)
     strips = horizontal_strip_extensions(lam, r, max_len=n)
-    return lhs == sum((alternant(_staircase_shift(mu, n), n) for mu in strips), SparsePoly.zero(n))
+    lhs = alternant(_staircase_shift(lam, n), n) * _eval_h(r, n)
+    rhs = _joined_sum(n, ((1, alternant(_staircase_shift(mu, n), n), _ONE) for mu in strips))
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +386,19 @@ def reduction_check(lam: Sequence[int], n: int) -> bool:
     variables equals the sum over powers p of x_n^p times the tableau
     polynomials of the horizontal p-strip reductions in n-1 variables."""
     lam = normalize(lam)
-    if n < 1:
+    if _int(n, "variable count") < 1:
         raise ValueError("need at least one variable")
     # the merged walk of _eval_s applies this formula at its last step, so
     # the left side sums one monomial per tableau, walked chain by chain
     sizes = (list(map(sum, chain)) for chain in _strip_chains(lam, (), (None,) * n))
     lhs = SparsePoly._trusted(n, accumulate((tuple(map(sub, s[1:], s)), 1) for s in sizes))
-    rhs = SparsePoly.zero(n)
-    for p in range(sum(lam) + 1):
-        mus = horizontal_strip_reductions(lam, p)
-        if not mus:
-            continue
-        inner = sum((eval_s_tableau(mu, (), n - 1) for mu in mus), SparsePoly.zero(n - 1))
-        lifted = embed(inner, n)
-        rhs = rhs + lifted * SparsePoly.monomial(n, (0,) * (n - 1) + (p,))
-    return lhs == rhs
+    # the mu with lam/mu a horizontal strip are the strips over lam[1:] inside
+    # lam, and x_n^|lam/mu| joins s_mu(x_1, ..., x_{n-1}) as its last exponent
+    rhs = (
+        (1, _eval_s(mu, (), n - 1), SparsePoly._trusted(1, {(sum(lam) - sum(mu),): 1}))
+        for mu in _strips(lam[1:], lam, None)
+    )
+    return lhs == _joined_sum(n, rhs)
 
 
 def jacobi_trudi_eval_check(lam: Sequence[int], n: int) -> bool:
@@ -387,9 +406,11 @@ def jacobi_trudi_eval_check(lam: Sequence[int], n: int) -> bool:
     signed h-index expansion, evaluated as products of complete functions,
     reproduces the tableau sum exactly."""
     lam = normalize(lam)
+    SparsePoly._check_head(n)
+    # the h-indices come sorted descending, as _h_monomial keys them
     terms = jacobi_trudi_expand(lam).items()
-    total = sum((c * eval_h_monomial(beta, n) for beta, c in terms), SparsePoly.zero(n))
-    return total == eval_s_tableau(lam, (), n)
+    total = _joined_sum(n, ((c, _h_monomial(beta, n), _ONE) for beta, c in terms))
+    return total == _eval_s(lam, (), n)
 
 
 def variable_split_check(lam: Sequence[int], a: int, b: int) -> bool:
@@ -397,14 +418,10 @@ def variable_split_check(lam: Sequence[int], a: int, b: int) -> bool:
     variables equals the sum over inner shapes mu of the skew polynomial in
     the first a variables times the straight polynomial in the last b."""
     lam = normalize(lam)
-    n = a + b
-    lhs = eval_s_tableau(lam, (), n)
-    rhs = SparsePoly.zero(n)
-    for mu in subpartitions(lam):
-        left = embed(eval_s_tableau(lam, mu, a), n, 0)
-        right = embed(eval_s_tableau(mu, (), b), n, a)
-        rhs = rhs + left * right
-    return lhs == rhs
+    SparsePoly._check_head(a)
+    SparsePoly._check_head(b)
+    rhs = ((1, _eval_s(lam, mu, a), _eval_s(mu, (), b)) for mu in subpartitions(lam))
+    return _eval_s(lam, (), a + b) == _joined_sum(a + b, rhs)
 
 
 def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
@@ -412,18 +429,18 @@ def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
     variables equals the signed sum of h-products in the first alphabet times
     straightened difference polynomials in the second."""
     lam = normalize(lam)
-    n = a + b
-    lhs = eval_s_tableau(lam, (), n)
-    rhs = SparsePoly.zero(n)
-    for total in range(sum(lam) + 1):
-        for alpha in compositions_of(total, len(lam)):
-            sp = straighten(tuple(lam[i] - alpha[i] for i in range(len(lam))))
-            if not sp.sign:
-                continue
-            left = embed(eval_h_monomial(alpha, a), n, 0)
-            right = embed(eval_s_tableau(sp.partition, (), b), n, a)
-            rhs = rhs + sp.sign * (left * right)
-    return lhs == rhs
+    SparsePoly._check_head(a)
+    SparsePoly._check_head(b)
+
+    def splits():
+        for total in range(sum(lam) + 1):
+            for alpha in compositions_of(total, len(lam)):
+                sp = straighten(tuple(map(sub, lam, alpha)))
+                if sp.sign:
+                    h_alpha = _h_monomial(tuple(sorted(filter(None, alpha), reverse=True)), a)
+                    yield sp.sign, h_alpha, _eval_s(sp.partition, (), b)
+
+    return _eval_s(lam, (), a + b) == _joined_sum(a + b, splits())
 
 
 def product_oracle(
@@ -437,9 +454,8 @@ def product_oracle(
     n >= |mu| + |nu| so that no contributing partition outruns the variables.
     """
     mu, nu = normalize(mu), normalize(nu)
-    if n < sum(mu) + sum(nu):
+    if _int(n, "variable count") < sum(mu) + sum(nu):
         raise ValueError(f"need at least {sum(mu) + sum(nu)} variables for faithfulness")
-    SparsePoly._check_head(n)
     prod = _eval_s(mu, (), n) * _eval_s(nu, (), n)
     work = dict(prod._terms)
     coeffs: dict[Partition, int] = {}
@@ -477,9 +493,9 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
     matrices a of x^(row sums of a) y^(column sums of a): entries >= 0 for
     the plain kernel, 0 or 1 for the dual.  The slice keeps total k.
     """
-    if k < 0:
+    if _int(k, "degree") < 0:
         raise ValueError("degree must be nonnegative")
-    if n < 1:
+    if _int(n, "variable count") < 1:
         raise ValueError("need at least one variable per alphabet")
     lhs = accumulate(
         (
@@ -489,13 +505,8 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
         )
         for a in (_zero_one_matrices(k, n) if dual else compositions_of(k, n * n))
     )
-
-    def diagonal():
-        for lam in partitions_of(k):
-            px = eval_s_tableau(lam, (), n)
-            py = eval_s_tableau(conjugate(lam) if dual else lam, (), n)
-            for ex, cx in px._terms.items():
-                for ey, cy in py._terms.items():
-                    yield ex + ey, cx * cy
-
-    return lhs == accumulate(diagonal())
+    rhs = (
+        (1, _eval_s(lam, (), n), _eval_s(_conjugate(lam) if dual else lam, (), n))
+        for lam in partitions_of(k)
+    )
+    return lhs == _joined_sum(2 * n, rhs)._terms

@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
     Partition,
+    _conjugate,
     _int,
     _trim,
     compositions_of,
@@ -287,7 +288,7 @@ def _in_m(mu: Partition, binary: bool) -> dict[Partition, int]:
     with nonnegative integer entries for h and 0/1 entries for e (Stanley,
     Enumerative Combinatorics 2, Props. 7.4.1 and 7.5.1).  A 0/1 matrix
     exists only for kappa below the conjugate of mu in dominance."""
-    top = conjugate(mu) if binary else None
+    top = _conjugate(mu) if binary else None
     return {
         kappa: v
         for kappa in partitions_of(sum(mu))
@@ -307,11 +308,11 @@ def _expand(f: SymFunc, target: str, image) -> SymFunc:
 # routes read the h memos with shapes conjugated or tags swapped.
 _IMAGES = {
     ("h", "s"): _h_in_s,
-    ("e", "s"): lambda mu: {conjugate(lam): v for lam, v in _h_in_s(mu).items()},
+    ("e", "s"): lambda mu: {_conjugate(lam): v for lam, v in _h_in_s(mu).items()},
     ("m", "s"): _m_in_s,
     ("s", "m"): _s_in_m,
     ("s", "h"): _s_in_h,
-    ("s", "e"): lambda lam: _s_in_h(conjugate(lam)),
+    ("s", "e"): lambda lam: _s_in_h(_conjugate(lam)),
     ("h", "e"): _h_in_e,
     ("e", "h"): _h_in_e,
     ("h", "m"): lambda mu: _in_m(mu, False),
@@ -388,7 +389,7 @@ def omega(f: SymFunc) -> SymFunc:
     """The duality involution: conjugates Schur indices and swaps the h and e
     tags; monomial-basis input routes through s."""
     if f.basis == "s":
-        return f._like({conjugate(lam): c for lam, c in f._terms.items()})
+        return f._like({_conjugate(lam): c for lam, c in f._terms.items()})
     if f.basis == "h":
         return SymFunc._trusted("e", f._terms)
     if f.basis == "e":

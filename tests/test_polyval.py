@@ -374,6 +374,22 @@ def test_embed_and_restrict():
         embed(p, 3, 2)
 
 
+def test_joined_sum_matches_embedded_products():
+    # the identity checks' disjoint-alphabet sum against embed and the packed product
+    for k in range(5):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                for a in range(5):
+                    p = eval_s_tableau(lam, mu, a)
+                    # 1 in no variables as the second factor: a linear combination
+                    assert polyval._joined_sum(a, [(5, p, SparsePoly.one(0))]) == 5 * p
+                    for b in range(5 - a):
+                        n, q = a + b, eval_s_tableau(mu, (), b)
+                        expected = embed(p, n) * embed(q, n, a)
+                        assert polyval._joined_sum(n, [(3, p, q), (-2, p, q)]) == expected
+                        assert not polyval._joined_sum(n, [(1, p, q), (-1, p, q)])
+
+
 def test_generating_function_inverse_pair():
     # the degree-d slice of H(t) E(-t) vanishes for every d >= 1
     for d in range(1, 9):

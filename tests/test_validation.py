@@ -16,15 +16,26 @@ import pytest
 
 import schurkit
 from schurkit import partitions
-from schurkit.partitions import horizontal_strip_reductions
+from schurkit.partitions import (
+    contains,
+    dominates,
+    horizontal_strip_reductions,
+    vertical_strip_extensions,
+)
 from schurkit.polyval import (
     SparsePoly,
+    alternant,
+    alternant_pieri_check,
     bialternant_check,
     cauchy_truncated_check,
+    embed,
     eval_e,
     eval_h,
+    eval_sym_func,
+    h_split_check,
     jacobi_trudi_eval_check,
     product_oracle,
+    reduction_check,
     variable_split_check,
 )
 from schurkit.ring import SymFunc, skew_mirror_check, skew_schur
@@ -72,6 +83,23 @@ NORMALISED = [
     # the traced benchmark counts: it normalises lam[1:] and lam once more
     (horizontal_strip_reductions, (LAM, 2),
      {"horizontal_strip_reductions": 1, "horizontal_strips_within": 2}),
+    # the public conjugate validates lam; the shapes the walk returns are
+    # conjugated back by the trusted core
+    (vertical_strip_extensions, (LAM, 2), {"conjugate": 1, "horizontal_strip_extensions": 1}),
+    # the identity checks evaluate with the trusted cores; a public
+    # enumerator of shapes validates lam once more per call, not per term
+    (bialternant_check, (LAM, 3), {"bialternant_check": 1}),
+    (alternant_pieri_check, (LAM, 2, 3),
+     {"alternant_pieri_check": 1, "horizontal_strip_extensions": 1}),
+    (reduction_check, (LAM, 3), {"reduction_check": 1}),
+    (jacobi_trudi_eval_check, (LAM, 3), {"jacobi_trudi_eval_check": 1}),
+    (variable_split_check, (LAM, 2, 2), {"variable_split_check": 1, "subpartitions": 1}),
+    (h_split_check, (LAM, 2, 2), {"h_split_check": 1}),
+    (cauchy_truncated_check, (3, 2), {}),
+    (cauchy_truncated_check, (3, 2, True), {}),
+    (product_oracle, (MU, NU, 7), {"product_oracle": 2}),
+    # the terms of a SymFunc are canonical already
+    *((eval_sym_func, (SymFunc(basis, {LAM: 2, MU: -1}), 3), {}) for basis in "shem"),
 ]
 
 
@@ -147,13 +175,38 @@ RAISES = [
      "variable count must be int, got True"),
     (lambda: variable_split_check((2, 1), -1, 1), ValueError,
      "variable count must be nonnegative"),
-    (lambda: variable_split_check((2, 1), 1, -1), ValueError, "embedding does not fit"),
+    (lambda: variable_split_check((2, 1), 1, -1), ValueError,
+     "variable count must be nonnegative"),
     (lambda: variable_split_check((2, 1), 1.0, 1), TypeError,
-     "variable count must be int, got 2.0"),
+     "variable count must be int, got 1.0"),
     (lambda: variable_split_check((2, 1), 1, True), TypeError,
      "variable count must be int, got True"),
     (lambda: eval_h(2, True), TypeError, "variable count must be int, got True"),
     (lambda: eval_e(2.0, 2), TypeError, "degree must be int, got 2.0"),
+    # counts, degrees and offsets checked at entry, not where first used
+    (lambda: cauchy_truncated_check(2, 1.5), TypeError, "variable count must be int, got 1.5"),
+    (lambda: cauchy_truncated_check(2, 2.0), TypeError, "variable count must be int, got 2.0"),
+    (lambda: cauchy_truncated_check(1.0, 2), TypeError, "degree must be int, got 1.0"),
+    (lambda: bialternant_check((1,), 1.0), TypeError, "variable count must be int, got 1.0"),
+    (lambda: alternant_pieri_check((1,), 1, 2.0), TypeError,
+     "variable count must be int, got 2.0"),
+    (lambda: alternant_pieri_check((1,), 1.0, 2), TypeError, "strip size must be int, got 1.0"),
+    (lambda: reduction_check((2, 1), 1.0), TypeError, "variable count must be int, got 1.0"),
+    (lambda: reduction_check((2, 1), 0), ValueError, "need at least one variable"),
+    (lambda: h_split_check((2, 1), 1, 2.0), TypeError, "variable count must be int, got 2.0"),
+    (lambda: h_split_check((2, 1), -1, 2), ValueError, "variable count must be nonnegative"),
+    (lambda: product_oracle((1,), (1,), 1.5), TypeError, "variable count must be int, got 1.5"),
+    (lambda: eval_sym_func(SymFunc("e", {(1,): 1}), 1.5), TypeError,
+     "variable count must be int, got 1.5"),
+    (lambda: alternant((1,), 1.5), TypeError, "variable count must be int, got 1.5"),
+    (lambda: alternant((1,), -1), ValueError, "variable count must be nonnegative"),
+    (lambda: embed(SparsePoly.one(1), 2.5), TypeError, "variable count must be int, got 2.5"),
+    (lambda: embed(SparsePoly.one(1), 2, 0.5), TypeError, "offset must be int, got 0.5"),
+    (lambda: embed(SparsePoly.one(1), 2, -1), ValueError, "embedding does not fit"),
+    (lambda: dominates((2.0,), (2,)), TypeError, "alpha entries must be int, got (2.0,)"),
+    (lambda: dominates((2,), (1, True)), TypeError, "beta entries must be int, got (1, True)"),
+    (lambda: contains((1.5,), (2,)), TypeError, "inner parts must be int, got (1.5,)"),
+    (lambda: contains((1,), (2.0,)), TypeError, "outer parts must be int, got (2.0,)"),
     (lambda: SparsePoly(-1), ValueError, "variable count must be nonnegative"),
     (lambda: SparsePoly(2, {(1.0, 0): 2}), TypeError, "exponents must be int, got (1.0, 0)"),
     (lambda: SparsePoly(2, {(1, 0): 2.0}), TypeError, "coefficients must be int, got 2.0"),
