@@ -88,7 +88,11 @@ def _conjugate(lam: Partition) -> Partition:
 
 def contains(inner: Sequence[int], outer: Sequence[int]) -> bool:
     """Componentwise containment inner_i <= outer_i of Young diagrams."""
-    inner, outer = _ints(inner, "inner parts"), _ints(outer, "outer parts")
+    return _contains(_ints(inner, "inner parts"), _ints(outer, "outer parts"))
+
+
+def _contains(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    # trusted: tuples of ints
     width = max(len(inner), len(outer))
     for i in range(width):
         a = inner[i] if i < len(inner) else 0
@@ -105,7 +109,11 @@ def dominates(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     Raises ValueError when the totals differ; dominance is only defined on
     vectors of equal size.
     """
-    alpha, beta = _ints(alpha, "alpha entries"), _ints(beta, "beta entries")
+    return _dominates(_ints(alpha, "alpha entries"), _ints(beta, "beta entries"))
+
+
+def _dominates(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
+    # trusted: tuples of ints
     if sum(alpha) != sum(beta):
         raise ValueError(
             f"dominance undefined: |{alpha!r}| = {sum(alpha)} != {sum(beta)} = |{beta!r}|"
@@ -125,7 +133,7 @@ def is_horizontal_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
     Equivalent to the interleaving condition outer_{i+1} <= inner_i for all i.
     """
     inner, outer = normalize(inner), normalize(outer)
-    return contains(inner, outer) and _interleaves(inner, outer)
+    return _contains(inner, outer) and _interleaves(inner, outer)
 
 
 def _interleaves(inner: Partition, outer: Partition) -> bool:
@@ -138,7 +146,7 @@ def _interleaves(inner: Partition, outer: Partition) -> bool:
 def is_vertical_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
     """True if outer/inner is a skew diagram with no two boxes in a row."""
     inner, outer = normalize(inner), normalize(outer)
-    if not contains(inner, outer):
+    if not _contains(inner, outer):
         return False
     for i in range(len(outer)):
         if outer[i] - (inner[i] if i < len(inner) else 0) > 1:
@@ -153,7 +161,7 @@ def horizontal_strips_within(
     horizontal strip (of the given size, when fixed), in canonical term order.
     """
     base, bound = normalize(base), normalize(bound)
-    if not contains(base, bound):
+    if not _contains(base, bound):
         return []
     return _strips(base, bound, size)
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .partitions import (
     Partition,
+    _contains,
     _int,
     _interleaves,
     _ints,
@@ -27,7 +28,6 @@ from .partitions import (
     _conjugate,
     _strips,
     compositions_of,
-    contains,
     horizontal_strip_extensions,
     normalize,
     pad,
@@ -245,7 +245,7 @@ def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
 
 @memo
 def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
-    if not contains(mu, lam):
+    if not _contains(mu, lam):
         return SparsePoly.zero(n)
     if not n:
         return SparsePoly.one(0) if lam == mu else SparsePoly.zero(0)
@@ -456,6 +456,15 @@ def product_oracle(
     mu, nu = normalize(mu), normalize(nu)
     if _int(n, "variable count") < sum(mu) + sum(nu):
         raise ValueError(f"need at least {sum(mu) + sum(nu)} variables for faithfulness")
+    return _peel(mu, nu, n)
+
+
+def _peel(mu: Partition, nu: Partition, n: int) -> dict[Partition, int]:
+    """The peel of product_oracle.  Trusted: canonical partitions and
+    n >= max(l(mu) + l(nu), 1).  That many variables are faithful: every
+    lam in s_mu s_nu has l(lam) <= l(mu) + l(nu), and in n >= l(lam)
+    variables s_lam is nonzero with lex-leading monomial x^lam, coefficient
+    1, so each peeled lead names one lam and no lam is lost."""
     prod = _eval_s(mu, (), n) * _eval_s(nu, (), n)
     work = dict(prod._terms)
     coeffs: dict[Partition, int] = {}

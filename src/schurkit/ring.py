@@ -23,12 +23,12 @@ from typing import Iterable, Optional, Sequence, Union
 from .partitions import (
     Partition,
     _conjugate,
+    _contains,
+    _dominates,
     _int,
     _trim,
     compositions_of,
     conjugate,
-    contains,
-    dominates,
     format_partition,
     horizontal_strip_extensions,
     horizontal_strip_reductions,
@@ -171,7 +171,7 @@ def _s_in_m(lam: Partition) -> dict[Partition, int]:
     return {
         mu: v
         for mu in partitions_of(sum(lam))
-        if dominates(lam, mu) and (v := _kostka_chains(lam, (), mu))
+        if _dominates(lam, mu) and (v := _kostka_chains(lam, (), mu))
     }
 
 
@@ -222,7 +222,7 @@ def _m_in_s(mu: Partition) -> dict[Partition, int]:
     return {
         lam: v
         for lam in partitions_of(sum(mu))
-        if dominates(mu, lam) and (v := _s_in_h(lam).get(mu))
+        if _dominates(mu, lam) and (v := _s_in_h(lam).get(mu))
     }
 
 
@@ -292,7 +292,7 @@ def _in_m(mu: Partition, binary: bool) -> dict[Partition, int]:
     return {
         kappa: v
         for kappa in partitions_of(sum(mu))
-        if (top is None or dominates(top, kappa)) and (v := _matrix_count(mu, kappa, binary))
+        if (top is None or _dominates(top, kappa)) and (v := _matrix_count(mu, kappa, binary))
     }
 
 
@@ -402,14 +402,14 @@ def skew_schur(lam: Sequence[int], mu: Sequence[int]) -> SymFunc:
     coefficient is the LR count of fillings of lam/mu with content nu, which
     is 0 unless nu fits inside lam."""
     lam, mu = normalize(lam), normalize(mu)
-    if not contains(mu, lam):
+    if not _contains(mu, lam):
         return SymFunc.zero("s")
     return SymFunc._trusted(
         "s",
         {
             nu: c
             for nu in partitions_of(sum(lam) - sum(mu))
-            if contains(nu, lam) and (c := _lr_coefficient(lam, mu, nu))
+            if _contains(nu, lam) and (c := _lr_coefficient(lam, mu, nu))
         },
     )
 
@@ -473,7 +473,7 @@ def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
     the skew function of lam/mu equals the Kostka-weighted signed sum of
     straightened differences lam - alpha over compositions alpha of |mu|."""
     lam, mu = normalize(lam), normalize(mu)
-    if not contains(mu, lam):
+    if not _contains(mu, lam):
         return not skew_schur(lam, mu)
     ell = len(lam)
     lhs = _signed_sum(

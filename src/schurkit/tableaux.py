@@ -9,7 +9,8 @@ LR coefficients are counted on the same chains without building tableaux:
 `_lr_fillings` keeps only the strips whose row counts satisfy the lattice
 condition and merges walks that reach the same state.  `lr_tableaux` (build
 every filling, keep the lattice ones), `signed_lr_sum` (the alternating
-Kostka sum) and `polyval.product_oracle` (peeling actual polynomials) stay
+Kostka sum) and the peel behind `polyval.product_oracle` (peeling actual
+polynomials, in l(mu) + l(nu) variables in the lr-oracle suite) stay
 independent of it, as its checks.
 """
 
@@ -21,6 +22,7 @@ from ._memo import memo
 from ._sparse import accumulate
 from .partitions import (
     Partition,
+    _contains,
     _int,
     _ints,
     _strip_chains,
@@ -307,7 +309,7 @@ def _lattice_counts(
 @memo
 def _lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     # c^lam_{mu nu} = c^lam_{nu mu}, so both factors must fit inside lam
-    if not (contains(mu, lam) and contains(nu, lam)) or sum(mu) + sum(nu) != sum(lam):
+    if not (_contains(mu, lam) and _contains(nu, lam)) or sum(mu) + sum(nu) != sum(lam):
         return 0
     return _lr_fillings(mu, nu, lam).get(lam, 0)
 

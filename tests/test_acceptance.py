@@ -18,15 +18,15 @@ def _report(number, label, result, extra=""):
 
 def test_acceptance_01_lr_vs_oracle():
     start = time.time()
-    result = run_suite("lr-oracle", 8)
+    result = run_suite("lr-oracle", 10)
     elapsed = time.time() - start
-    _report(1, "LR products vs polynomial oracle, degree <= 8, n = 8", result,
+    _report(1, "LR products vs polynomial oracle, degree <= 10, n = l(mu) + l(nu)", result,
             f", {elapsed:.1f}s")
     assert elapsed < 120.0
 
 
 def test_acceptance_02_signed_cancellation():
-    result = run_suite("lr-signed", 8)
+    result = run_suite("lr-signed", 9)
     _report(2, "signed pair sums and involution", result)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import schurkit
-from schurkit import polyval
+from schurkit import polyval, verification
 from schurkit._sparse import accumulate
 from schurkit.partitions import compositions_of, partitions_of, subpartitions
 from schurkit.polyval import (
@@ -312,6 +312,47 @@ def test_product_oracle_agrees_with_ring_multiply():
                 for nu in partitions_of(b):
                     got = multiply(SymFunc.element("s", mu), SymFunc.element("s", nu))
                     assert got.terms == product_oracle(mu, nu, a + b if a + b else 1)
+
+
+def test_peel_in_few_variables_matches_the_public_oracle():
+    # no lam in s_mu s_nu is longer than l(mu) + l(nu), so that many variables
+    # peel the same expansion as the |mu| + |nu| the public guard demands
+    for k in range(8):
+        for a in range(k + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(k - a):
+                    n = max(len(mu) + len(nu), 1)
+                    assert polyval._peel(mu, nu, n) == product_oracle(mu, nu, k)
+
+
+def test_peel_variable_count_is_tight():
+    # one variable short, the longest lam = (1, 1) has no monomial to peel
+    assert polyval._peel((1,), (1,), 1) == {(2,): 1}
+    assert polyval._peel((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
+
+
+def test_lr_oracle_sees_the_longest_term(monkeypatch):
+    # lam = sort(mu + nu) is the one term of s_mu s_nu with l(mu) + l(nu)
+    # parts, the most the oracle's variables hold; drop it from every product
+    # of two nonempty factors and the suite must flag exactly those pairs
+    def faulty(f, g):
+        (mu,), (nu,) = f.terms, g.terms
+        terms = dict(multiply(f, g).terms)
+        if mu and nu:
+            longest = tuple(sorted(mu + nu, reverse=True))
+            terms[longest] -= 1
+        return SymFunc("s", {lam: c for lam, c in terms.items() if c})
+
+    monkeypatch.setattr(verification, "multiply", faulty)
+    result = verification.run_suite("lr-oracle", 4)
+    expected = [
+        f"oracle mismatch: mu={mu}, nu={nu}"
+        for a in range(1, 4)
+        for b in range(1, 5 - a)
+        for mu in partitions_of(a)
+        for nu in partitions_of(b)
+    ]
+    assert result.checked == 38 and result.failures == expected
 
 
 def test_multiply_matches_iterated_pieri_beyond_sweep():
