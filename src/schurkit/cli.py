@@ -4,15 +4,21 @@ Subcommands: mult, convert, lr, kostka, skew, eval, verify.  Output on
 stdout is deterministic and machine-parsable (text or --json); progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage or parse error.
+
+The grammar is one table, `_COMMANDS`.  A plain, well-formed argv is read
+from it directly (`_read_argv`); anything else, help requests and errors
+among it, goes to the argparse parser built from the same table, which is
+imported and built only then.  Building it costs several times a small
+request, so a well-formed cold request never pays for it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ._memo import memo
@@ -203,87 +209,181 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# The grammar: command name -> (handler, help, arguments).  Each argument
+# is (name, argparse keywords), in the order argparse lists them; a name
+# starting with "--" is an option, any other a positional.  _build_parser
+# and _read_argv both read it, so the two cannot disagree on a command.
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of text"})
+_BASIS = ("--basis", {"choices": BASES, "default": "s", "help": "output basis (default s)"})
+_WITNESSES = ("--witnesses", {"action": "store_true", "help": "also print the tableaux as JSON"})
+_OUTER = ("outer", {"help": "partition literal"})
+_INNER = ("inner", {"help": "partition literal"})
+
+_COMMANDS = {
+    "mult": (
+        _cmd_mult,
+        "multiply two basis elements",
+        (("expr", {"help": "expression like 's[2,1]*s[2,1]' or 'h[1]*s[1]'"}), _JSON, _BASIS),
+    ),
+    "convert": (
+        _cmd_convert,
+        "change the basis of a linear combination",
+        (("expr", {"help": "expression like '2*s[3,2,1] + s[4,2]'"}), _JSON, _BASIS),
+    ),
+    "lr": (
+        _cmd_lr,
+        "Littlewood-Richardson coefficient",
+        (
+            ("outer", {"help": "partition literal like [3,2,1]"}),
+            _INNER,
+            ("content", {"help": "partition literal"}),
+            _WITNESSES,
+            _JSON,
+        ),
+    ),
+    "kostka": (
+        _cmd_kostka,
+        "Kostka number of a skew shape and content",
+        (
+            _OUTER,
+            _INNER,
+            ("content", {"help": "composition literal like [1,0,2]"}),
+            _WITNESSES,
+            _JSON,
+        ),
+    ),
+    "skew": (_cmd_skew, "Schur expansion of a skew shape", (_OUTER, _INNER, _JSON, _BASIS)),
+    "eval": (
+        _cmd_eval,
+        "tableau polynomial in N variables",
+        (
+            _OUTER,
+            ("inner", {"nargs": "?", "default": None, "help": "optional inner shape"}),
+            (
+                "--vars",
+                {"type": int, "required": True, "metavar": "N", "help": "number of variables"},
+            ),
+            _JSON,
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a property suite up to a size bound",
+        (
+            ("suite", {"help": f"one of {sorted(SUITES)} or 'all'"}),
+            (
+                "bound",
+                {
+                    "nargs": "?",
+                    "type": int,
+                    "default": None,
+                    "help": "size bound (default: the acceptance bound for the suite)",
+                },
+            ),
+            ("--quiet", {"action": "store_true", "help": "suppress progress on stderr"}),
+        ),
+    ),
+}
+
+
 @memo
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parsing leaves the parser unchanged, and
-    # building it costs more than a warm request
+def _build_parser():
+    # argparse parses only what _read_argv leaves: help requests, errors
+    # and the spellings it alone accepts.  Built once per process, since
+    # parsing leaves the parser unchanged and building it (with the import)
+    # costs more than a warm request.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="schurkit",
         description="Exact Schur polynomial calculus: products, coefficients, "
         "basis changes, polynomial evaluation, and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, basis=True):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if basis:
-            p.add_argument(
-                "--basis",
-                choices=BASES,
-                default="s",
-                help="output basis (default s)",
-            )
-
-    p = sub.add_parser("mult", help="multiply two basis elements")
-    p.add_argument("expr", help="expression like 's[2,1]*s[2,1]' or 'h[1]*s[1]'")
-    add_common(p)
-    p.set_defaults(func=_cmd_mult)
-
-    p = sub.add_parser("convert", help="change the basis of a linear combination")
-    p.add_argument("expr", help="expression like '2*s[3,2,1] + s[4,2]'")
-    add_common(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
-    p.add_argument("outer", help="partition literal like [3,2,1]")
-    p.add_argument("inner", help="partition literal")
-    p.add_argument("content", help="partition literal")
-    p.add_argument("--witnesses", action="store_true", help="also print the tableaux as JSON")
-    add_common(p, basis=False)
-    p.set_defaults(func=_cmd_lr)
-
-    p = sub.add_parser("kostka", help="Kostka number of a skew shape and content")
-    p.add_argument("outer", help="partition literal")
-    p.add_argument("inner", help="partition literal")
-    p.add_argument("content", help="composition literal like [1,0,2]")
-    p.add_argument("--witnesses", action="store_true", help="also print the tableaux as JSON")
-    add_common(p, basis=False)
-    p.set_defaults(func=_cmd_kostka)
-
-    p = sub.add_parser("skew", help="Schur expansion of a skew shape")
-    p.add_argument("outer", help="partition literal")
-    p.add_argument("inner", help="partition literal")
-    add_common(p)
-    p.set_defaults(func=_cmd_skew)
-
-    p = sub.add_parser("eval", help="tableau polynomial in N variables")
-    p.add_argument("outer", help="partition literal")
-    p.add_argument("inner", nargs="?", default=None, help="optional inner shape")
-    p.add_argument("--vars", type=int, required=True, metavar="N", help="number of variables")
-    add_common(p, basis=False)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("verify", help="run a property suite up to a size bound")
-    p.add_argument("suite", help=f"one of {sorted(SUITES)} or 'all'")
-    p.add_argument(
-        "bound",
-        nargs="?",
-        type=int,
-        default=None,
-        help="size bound (default: the acceptance bound for the suite)",
-    )
-    p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
-    p.set_defaults(func=_cmd_verify)
-
+    for command, (func, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+def _value(keywords: dict, token: str):
+    """token converted and checked as argparse does for this argument, or
+    None when argparse would refuse it or could read it differently."""
+    if token.startswith("-"):
+        return None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        value = keywords.get("type", str)(token)
+    except ValueError:
+        return None
+    choices = keywords.get("choices")
+    return value if choices is None or value in choices else None
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace that `_build_parser().parse_args(argv)` returns, for a
+    plain, well-formed argv; None for anything else.
+
+    Plain means: an exact command name, then positionals that do not start
+    with "-" and exact long options of that command, each at most once, a
+    valued option followed by a value that passes its type and choices.
+    Every argv read here is one argparse accepts the same way; what it
+    leaves (help, errors, `--basis=h`, abbreviations, `--`) goes to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    options = {name: keywords for name, keywords in arguments if name.startswith("--")}
+    positionals = [keywords for name, keywords in arguments if not name.startswith("--")]
+    # argparse fills an optional positional, empty, at the first positional
+    # token, so a positional after an option would be one too many for it
+    optional = sum(keywords.get("nargs") == "?" for keywords in positionals)
+    given: dict = {}
+    words: list = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if optional and given:
+                return None
+            words.append(token)
+        elif token in options and token not in given:
+            keywords = options[token]
+            if keywords.get("action") == "store_true":
+                given[token] = True
+            else:
+                given[token] = _value(keywords, next(tokens, "-"))
+                if given[token] is None:
+                    return None
+        else:
+            return None
+    if not len(positionals) - optional <= len(words) <= len(positionals):
+        return None
+    values = {"command": argv[0]}
+    for name, keywords in arguments:
+        if name.startswith("--"):
+            if name not in given and keywords.get("required"):
+                return None
+            flag = keywords.get("action") == "store_true"
+            values[name[2:]] = given.get(name, False if flag else keywords.get("default"))
+        elif words:
+            values[name] = _value(keywords, words.pop(0))
+            if values[name] is None:
+                return None
+        else:
+            values[name] = keywords.get("default")
+    return SimpleNamespace(**values, func=func)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -217,16 +217,22 @@ def _strip_chains(
 def horizontal_strip_extensions(
     lam: Sequence[int], p: int, max_len: Optional[int] = None
 ) -> list[Partition]:
-    """All mu with lam <= mu and mu/lam a horizontal p-strip, canonical order.
+    """All mu with lam <= mu and mu/lam a horizontal p-strip, canonical order."""
+    return _strip_extensions(normalize(lam), _strip_size(p), max_len)
 
-    A horizontal strip over lam occupies at most one new row, so the bound
-    shape is lam with p extra columns in row 1 and each later row capped by
-    the row above it in lam.  The bound contains lam by construction, so
-    the walk runs on lam as validated here, without a second check.
-    """
-    lam = normalize(lam)
+
+def _strip_size(p: int) -> int:
+    """p itself when it is a strip size: an exact integer, nonnegative."""
     if _int(p, "strip size") < 0:
         raise ValueError("strip size must be nonnegative")
+    return p
+
+
+def _strip_extensions(lam: Partition, p: int, max_len: Optional[int]) -> list[Partition]:
+    # trusted: a canonical partition and a strip size p >= 0.  A horizontal
+    # strip over lam occupies at most one new row, so the bound shape is lam
+    # with p extra columns in row 1 and each later row capped by the row
+    # above it in lam; it contains lam by construction.
     bound = ((lam[0] + p,) if lam else (p,)) + lam
     if max_len is not None:
         if len(lam) > max_len:
@@ -239,17 +245,14 @@ def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu <= lam with lam/mu a horizontal p-strip, canonical order: the
     mu with lam_{i+1} <= mu_i <= lam_i, i.e. the (lam_1 - p)-strips over lam[1:]."""
     lam = normalize(lam)
-    if _int(p, "strip size") < 0:
-        raise ValueError("strip size must be nonnegative")
+    p = _strip_size(p)
     return horizontal_strips_within(lam[1:], lam, (lam[0] if lam else 0) - p)
 
 
 def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu with lam <= mu and mu/lam a vertical p-strip, canonical order."""
-    return sorted(
-        (_conjugate(mu) for mu in horizontal_strip_extensions(conjugate(lam), p)),
-        key=term_key,
-    )
+    extensions = _strip_extensions(_conjugate(normalize(lam)), _strip_size(p), None)
+    return sorted((_conjugate(mu) for mu in extensions), key=term_key)
 
 
 def partitions_of(
@@ -280,7 +283,11 @@ def partitions_of(
 
 def subpartitions(lam: Sequence[int]) -> list[Partition]:
     """All partitions contained in lam, in canonical term order."""
-    lam = normalize(lam)
+    return _subpartitions(normalize(lam))
+
+
+def _subpartitions(lam: Partition) -> list[Partition]:
+    # trusted: a canonical partition
     out: list[Partition] = []
     stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while stack:

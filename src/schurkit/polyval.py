@@ -25,14 +25,15 @@ from .partitions import (
     _interleaves,
     _ints,
     _strip_chains,
+    _strip_extensions,
+    _strip_size,
     _conjugate,
     _strips,
+    _subpartitions,
     compositions_of,
-    horizontal_strip_extensions,
     normalize,
     pad,
     partitions_of,
-    subpartitions,
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
@@ -371,7 +372,7 @@ def alternant_pieri_check(lam: Sequence[int], r: int, n: int) -> bool:
     lam = normalize(lam)
     if len(lam) > _int(n, "variable count"):
         raise ValueError(f"partition has more than {n} parts")
-    strips = horizontal_strip_extensions(lam, r, max_len=n)
+    strips = _strip_extensions(lam, _strip_size(r), n)
     lhs = alternant(_staircase_shift(lam, n), n) * _eval_h(r, n)
     rhs = _joined_sum(n, ((1, alternant(_staircase_shift(mu, n), n), _ONE) for mu in strips))
     return lhs == rhs
@@ -420,7 +421,7 @@ def variable_split_check(lam: Sequence[int], a: int, b: int) -> bool:
     lam = normalize(lam)
     SparsePoly._check_head(a)
     SparsePoly._check_head(b)
-    rhs = ((1, _eval_s(lam, mu, a), _eval_s(mu, (), b)) for mu in subpartitions(lam))
+    rhs = ((1, _eval_s(lam, mu, a), _eval_s(mu, (), b)) for mu in _subpartitions(lam))
     return _eval_s(lam, (), a + b) == _joined_sum(a + b, rhs)
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import importlib.util
+import io
+import itertools
 import json
+import random
+import shlex
+from pathlib import Path
 
-from schurkit import verification
-from schurkit.cli import main
+from schurkit import clear_caches, verification
+from schurkit.cli import _build_parser, _read_argv, main
 from schurkit.polyval import SparsePoly
 from schurkit.ring import SymFunc
 
@@ -185,3 +192,131 @@ def test_degree_cap(capsys, monkeypatch):
     assert code == 0
     monkeypatch.setenv("SCHURKIT_MAX_DEGREE", "junk")
     assert run(capsys, "lr", "[2,1]", "[1]", "[2]")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# argv routing: _read_argv reads plain argv from the command table, argparse
+# parses the rest
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("mult", "convert", "lr", "kostka", "skew", "eval", "verify")
+
+
+def parsed(argv):
+    """vars() of the namespace argparse returns for argv, or None when it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def assert_read_as_argparse(argv):
+    """The reader declines argv, or returns what argparse returns for it;
+    True when it read argv."""
+    read = _read_argv(argv)
+    if read is None:
+        return False
+    assert vars(read) == parsed(argv), argv
+    return True
+
+
+# values, well-formed or not, and every option spelling, right or wrong
+TOKENS = (
+    "[2,1]", "[]", "s[2,1]*s[1]", "2*s[2] + s[1,1]", "", "3", "0", "٣", "3.5", "x",
+    "all", "h", "-1", "-x", "-", "--", "-h", "--help", "--json", "--basis", "--basis=h",
+    "--bas", "--vars", "--vars=2", "--witnesses", "--quiet",
+)
+
+
+def argv_corpus():
+    """Every command followed by up to three tokens, then random longer argv."""
+    heads = [[c] for c in COMMANDS] + [[], ["nosuch"], ["Mult"], ["--json"]]
+    for head in heads:
+        for n in range(4):
+            for tail in itertools.product(TOKENS, repeat=n):
+                yield head + list(tail)
+    rng = random.Random(15)
+    for _ in range(3000):
+        yield [rng.choice(COMMANDS)] + rng.choices(TOKENS, k=rng.randint(4, 7))
+
+
+def test_reader_agrees_with_argparse():
+    read = sum(assert_read_as_argparse(argv) for argv in argv_corpus())
+    assert read > 1000
+
+
+def test_reader_declines_what_argparse_alone_reads():
+    # argparse accepts these, with the same or another meaning; the reader
+    # leaves every one of them to it
+    for argv in (
+        ["mult", "s[1]*s[1]", "--basis=h"],
+        ["mult", "s[1]*s[1]", "--bas", "h"],
+        ["mult", "--", "s[1]*s[1]"],
+        ["mult", "s[1]*s[1]", "--basis", "h", "--basis", "m"],
+        ["mult", "s[1]*s[1]", "--json", "--json"],
+        ["eval", "[2]", "--vars", "-1"],
+        ["verify", "mirror", "-1"],
+        ["verify", "--quiet", "mirror", "3"],
+        ["eval", "--vars", "2", "[2,1]", "[1]"],
+    ):
+        assert _read_argv(argv) is None and parsed(argv) is not None, argv
+    # argparse refuses these two: the optional positional is filled, empty,
+    # before the option, and the later positional is one too many
+    for argv in (["verify", "pieri", "--quiet", "3"], ["eval", "[2,1]", "--vars", "2", "[1]"]):
+        assert _read_argv(argv) is None and parsed(argv) is None, argv
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_examples():
+    block = (ROOT / "README.md").read_text().split("## Command line")[1].split("```")[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("schurkit ")
+    ]
+
+
+def test_reader_reads_every_benchmark_and_readme_argv():
+    workloads = load_workloads()
+    argvs = [r["argv"] for rounds in (workloads.lr_rounds(1), workloads.convert_rounds(1))
+             for _ in range(4) for r in next(rounds)]
+    argvs += [r["argv"] for r in workloads.verify_requests()]
+    examples = readme_examples()
+    assert len(examples) == 10
+    argvs += examples + [argv + ["--json"] for argv in examples if argv[0] != "verify"]
+    for argv in argvs:
+        assert assert_read_as_argparse(argv), argv
+
+
+def test_well_formed_argv_builds_no_parser(capsys):
+    clear_caches()
+    assert run(capsys, "mult", "s[1]*s[1]") == (0, "s[2] + s[1,1]\n", "")
+    assert _build_parser.cache_info().currsize == 0
+
+
+def test_help_is_argparse_usage_on_stdout(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, out, err) == (0, _build_parser().format_help(), "")
+    code, out, err = run(capsys, "mult", "--help")
+    assert code == 0 and out.startswith("usage: schurkit mult [-h]") and err == ""
+
+
+def test_malformed_argv_prints_usage_and_exits_2(capsys):
+    for argv in (
+        [],
+        ["nosuch"],
+        ["mult"],
+        ["mult", "s[1]*s[1]", "--basis", "q"],
+        ["eval", "[2,1]", "--vars", "2", "[1]"],
+        ["verify", "pieri", "--quiet", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: schurkit"), argv

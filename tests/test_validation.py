@@ -83,17 +83,15 @@ NORMALISED = [
     # the traced benchmark counts: it normalises lam[1:] and lam once more
     (horizontal_strip_reductions, (LAM, 2),
      {"horizontal_strip_reductions": 1, "horizontal_strips_within": 2}),
-    # the public conjugate validates lam; the shapes the walk returns are
-    # conjugated back by the trusted core
-    (vertical_strip_extensions, (LAM, 2), {"conjugate": 1, "horizontal_strip_extensions": 1}),
-    # the identity checks evaluate with the trusted cores; a public
-    # enumerator of shapes validates lam once more per call, not per term
+    # the strips of the conjugate are listed and conjugated back by the
+    # trusted cores
+    (vertical_strip_extensions, (LAM, 2), {"vertical_strip_extensions": 1}),
+    # the identity checks evaluate and enumerate shapes with the trusted cores
     (bialternant_check, (LAM, 3), {"bialternant_check": 1}),
-    (alternant_pieri_check, (LAM, 2, 3),
-     {"alternant_pieri_check": 1, "horizontal_strip_extensions": 1}),
+    (alternant_pieri_check, (LAM, 2, 3), {"alternant_pieri_check": 1}),
     (reduction_check, (LAM, 3), {"reduction_check": 1}),
     (jacobi_trudi_eval_check, (LAM, 3), {"jacobi_trudi_eval_check": 1}),
-    (variable_split_check, (LAM, 2, 2), {"variable_split_check": 1, "subpartitions": 1}),
+    (variable_split_check, (LAM, 2, 2), {"variable_split_check": 1}),
     (h_split_check, (LAM, 2, 2), {"h_split_check": 1}),
     (cauchy_truncated_check, (3, 2), {}),
     (cauchy_truncated_check, (3, 2, True), {}),
