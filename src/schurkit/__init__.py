@@ -14,7 +14,6 @@ from .partitions import (
     horizontal_strip_reductions,
     horizontal_strips_within,
     is_horizontal_strip,
-    is_partition,
     is_vertical_strip,
     normalize,
     parse_composition,
@@ -31,7 +30,6 @@ from .polyval import (
     alternant_pieri_check,
     bialternant_check,
     cauchy_truncated_check,
-    embed,
     eval_e,
     eval_h,
     eval_h_monomial,
@@ -42,7 +40,6 @@ from .polyval import (
     jacobi_trudi_eval_check,
     product_oracle,
     reduction_check,
-    restrict_vars,
     variable_split_check,
 )
 from .raising import (

@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from ._memo import memo
+from ._memo import clear_caches, memo
 from .partitions import format_partition, parse_composition, parse_partition
 from .polyval import eval_s_tableau
 from .ring import BASES, SymFunc, convert, multiply, skew_schur
@@ -195,7 +195,11 @@ def _cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or all")
     failed = False
-    for name in names:
+    for i, name in enumerate(names):
+        if i:
+            # a suite reuses little of another's memos: dropping them keeps
+            # `verify all` at the memory of its largest suite
+            clear_caches()
         bound = args.bound if args.bound is not None else ACCEPTANCE_BOUNDS[name]
         _check_cap(bound, "verification bound")
         result = run_suite(name, bound, progress if not args.quiet else None)

@@ -31,6 +31,13 @@ def _int(x: int, what: str) -> int:
     return x
 
 
+def _nonneg(x: int, what: str) -> int:
+    """x itself when it is an exact integer and nonnegative."""
+    if _int(x, what) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return x
+
+
 def _trim(parts: tuple[int, ...]) -> tuple[int, ...]:
     """parts without its trailing zeros."""
     while parts and not parts[-1]:
@@ -46,16 +53,6 @@ def normalize(seq: Sequence[int]) -> Partition:
     ):
         raise ValueError(f"not a partition: {tuple(seq)!r}")
     return parts
-
-
-def is_partition(seq: Sequence[int]) -> bool:
-    """True if seq holds ints only and, after dropping trailing zeros, weakly
-    decreases through positive values: exactly when normalize accepts it."""
-    try:
-        normalize(seq)
-    except (TypeError, ValueError):
-        return False
-    return True
 
 
 def pad(seq: Sequence[int], length: int) -> tuple[int, ...]:
@@ -218,14 +215,7 @@ def horizontal_strip_extensions(
     lam: Sequence[int], p: int, max_len: Optional[int] = None
 ) -> list[Partition]:
     """All mu with lam <= mu and mu/lam a horizontal p-strip, canonical order."""
-    return _strip_extensions(normalize(lam), _strip_size(p), max_len)
-
-
-def _strip_size(p: int) -> int:
-    """p itself when it is a strip size: an exact integer, nonnegative."""
-    if _int(p, "strip size") < 0:
-        raise ValueError("strip size must be nonnegative")
-    return p
+    return _strip_extensions(normalize(lam), _nonneg(p, "strip size"), max_len)
 
 
 def _strip_extensions(lam: Partition, p: int, max_len: Optional[int]) -> list[Partition]:
@@ -245,13 +235,13 @@ def horizontal_strip_reductions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu <= lam with lam/mu a horizontal p-strip, canonical order: the
     mu with lam_{i+1} <= mu_i <= lam_i, i.e. the (lam_1 - p)-strips over lam[1:]."""
     lam = normalize(lam)
-    p = _strip_size(p)
+    p = _nonneg(p, "strip size")
     return horizontal_strips_within(lam[1:], lam, (lam[0] if lam else 0) - p)
 
 
 def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu with lam <= mu and mu/lam a vertical p-strip, canonical order."""
-    extensions = _strip_extensions(_conjugate(normalize(lam)), _strip_size(p), None)
+    extensions = _strip_extensions(_conjugate(normalize(lam)), _nonneg(p, "strip size"), None)
     return sorted((_conjugate(mu) for mu in extensions), key=term_key)
 
 

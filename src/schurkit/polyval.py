@@ -24,9 +24,9 @@ from .partitions import (
     _int,
     _interleaves,
     _ints,
+    _nonneg,
     _strip_chains,
     _strip_extensions,
-    _strip_size,
     _conjugate,
     _strips,
     _subpartitions,
@@ -53,8 +53,7 @@ class SparsePoly(SparseCombination):
 
     @staticmethod
     def _check_head(n) -> None:
-        if _int(n, "variable count") < 0:
-            raise ValueError("variable count must be nonnegative")
+        _nonneg(n, "variable count")
 
     def _key(self, exps) -> tuple[int, ...]:
         exps = _ints(exps, "exponents")
@@ -126,30 +125,6 @@ def _unpack(key: int, width: int, n: int) -> tuple[int, ...]:
     if width == 1:  # every degree below 256: each byte is an exponent
         return tuple(raw)
     return tuple(int.from_bytes(raw[i : i + width], "big") for i in range(0, n * width, width))
-
-
-def embed(p: SparsePoly, n: int, offset: int = 0) -> SparsePoly:
-    """View p inside n variables, its own variables starting at slot offset."""
-    SparsePoly._check_head(n)
-    if _int(offset, "offset") < 0 or offset + p.n > n:
-        raise ValueError("embedding does not fit")
-    return SparsePoly._trusted(
-        n,
-        {
-            (0,) * offset + e + (0,) * (n - offset - p.n): c
-            for e, c in p._terms.items()
-        },
-    )
-
-
-def restrict_vars(p: SparsePoly, m: int) -> SparsePoly:
-    """Set the trailing variables to zero, keeping the first m."""
-    if m > p.n:
-        raise ValueError("cannot restrict to more variables than present")
-    return SparsePoly(
-        m,
-        [(e[:m], c) for e, c in p._terms.items() if not any(e[m:])],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +347,7 @@ def alternant_pieri_check(lam: Sequence[int], r: int, n: int) -> bool:
     lam = normalize(lam)
     if len(lam) > _int(n, "variable count"):
         raise ValueError(f"partition has more than {n} parts")
-    strips = _strip_extensions(lam, _strip_size(r), n)
+    strips = _strip_extensions(lam, _nonneg(r, "strip size"), n)
     lhs = alternant(_staircase_shift(lam, n), n) * _eval_h(r, n)
     rhs = _joined_sum(n, ((1, alternant(_staircase_shift(mu, n), n), _ONE) for mu in strips))
     return lhs == rhs
@@ -503,8 +478,7 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
     matrices a of x^(row sums of a) y^(column sums of a): entries >= 0 for
     the plain kernel, 0 or 1 for the dual.  The slice keeps total k.
     """
-    if _int(k, "degree") < 0:
-        raise ValueError("degree must be nonnegative")
+    _nonneg(k, "degree")
     if _int(n, "variable count") < 1:
         raise ValueError("need at least one variable per alphabet")
     lhs = accumulate(

@@ -21,10 +21,6 @@ class SignedPartition(NamedTuple):
     sign: int
     partition: Optional[Partition]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
 
 ZERO = SignedPartition(0, None)
 

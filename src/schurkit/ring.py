@@ -26,6 +26,7 @@ from .partitions import (
     _contains,
     _dominates,
     _int,
+    _nonneg,
     _trim,
     compositions_of,
     conjugate,
@@ -88,12 +89,6 @@ class SymFunc(SparseCombination):
 
     def coefficient(self, lam: Sequence[int]) -> int:
         return self._terms.get(normalize(lam), 0)
-
-    def degrees(self) -> list[int]:
-        return sorted({sum(lam) for lam in self._terms})
-
-    def graded_component(self, k: int) -> "SymFunc":
-        return self._like({lam: c for lam, c in self._terms.items() if sum(lam) == k})
 
     def _require_same_head(self, other: "SymFunc") -> None:
         if self._head != other._head:
@@ -342,8 +337,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
 
 
 def _pieri(p: int, f: SymFunc, extensions, name: str) -> SymFunc:
-    if _int(p, "strip size") < 0:
-        raise ValueError("strip size must be nonnegative")
+    _nonneg(p, "strip size")
     if f.basis != "s":
         raise BasisMismatchError(f"{name} acts on the s-basis; convert first")
     return _expand(f, "s", lambda lam: dict.fromkeys(extensions(lam, p), 1))
@@ -449,10 +443,9 @@ def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -
     longer support forces a repeated staircase-shifted value).
     """
     lam = normalize(lam)
-    if p < 0:
-        raise ValueError("strip size must be nonnegative")
+    _nonneg(p, "strip size")
     ell = len(lam)
-    if n is not None and n < ell:
+    if n is not None and _int(n, "length bound") < ell:
         raise ValueError(f"length bound {n} is below the partition length {ell}")
 
     def side(width: int, sign: int, strips: list[Partition]) -> bool:
@@ -486,7 +479,7 @@ def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def newton_check(r: int) -> bool:
     """Check the alternating convolution of h and e in degree r:
     sum_i (-1)^i h_i e_{r-i} vanishes for r >= 1."""
-    if r < 1:
+    if _int(r, "degree") < 1:
         raise ValueError("degree must be positive")
     total = SymFunc.zero("s")
     for i in range(r + 1):
@@ -504,9 +497,7 @@ def cauchy_transition_check(k: int, dual: bool = False) -> bool:
     coordinate pair and compares with the identity pairing sum_lam m_lam (x)
     h_lam; the dual flavor conjugates the second leg and lands in (m, e).
     """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    parts = partitions_of(k)
+    parts = partitions_of(_nonneg(k, "degree"))
 
     def pairs():
         for lam in parts:

@@ -14,7 +14,7 @@ import random
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .partitions import (
-    _int,
+    _nonneg,
     conjugate,
     dominates,
     partition_count,
@@ -299,8 +299,7 @@ ACCEPTANCE_BOUNDS: dict[str, int] = {
 def run_suite(name: str, bound: int, progress: Progress = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if _int(bound, "bound") < 0:
-        raise ValueError("bound must be nonnegative")
+    _nonneg(bound, "bound")
     checked, failures = 0, []
     for verdict in SUITES[name](bound, progress):
         checked += 1

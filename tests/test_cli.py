@@ -7,7 +7,7 @@ import random
 import shlex
 from pathlib import Path
 
-from schurkit import clear_caches, verification
+from schurkit import cli, clear_caches, verification
 from schurkit.cli import _build_parser, _read_argv, main
 from schurkit.polyval import SparsePoly
 from schurkit.ring import SymFunc
@@ -126,6 +126,16 @@ def test_verify_small_bounds(capsys):
     # progress goes to stderr, stdout stays machine-parsable
     code, out, err = run(capsys, "verify", "kostka", "2")
     assert code == 0 and out.startswith("PASS") and "degree" in err
+
+
+def test_verify_all_clears_memos_between_suites(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "clear_caches", lambda: calls.append(clear_caches()))
+    assert main(["verify", "all", "2", "--quiet"]) == 0
+    assert len(calls) == len(verification.SUITES) - 1
+    # a single suite keeps the memos it finds
+    assert main(["verify", "newton", "2", "--quiet"]) == 0
+    assert len(calls) == len(verification.SUITES) - 1
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -294,6 +304,30 @@ def test_reader_reads_every_benchmark_and_readme_argv():
     argvs += examples + [argv + ["--json"] for argv in examples if argv[0] != "verify"]
     for argv in argvs:
         assert assert_read_as_argparse(argv), argv
+
+
+def test_readme_quick_tour_runs():
+    # the library tour runs as written, and its comments that state a value hold
+    block = (ROOT / "README.md").read_text().split("```python\n")[1].split("```")[0]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(block, namespace)
+    claims = {}
+    for line in block.splitlines():
+        code, _, claim = line.partition("#")
+        if claim:
+            claims[code.strip()] = claim.strip().split("  ")[0]  # minus a remark
+    printed = out.getvalue().splitlines()
+    head, tail = claims["print(multiply(f, f))"].split(" ... ")
+    assert printed[0].startswith(head) and printed[0].endswith(tail)
+    assert printed[1:] == [claims['print(convert(f, "m"))'], claims["print(omega(f))"]]
+    for code in (
+        "straighten((1, 3))",
+        "lr_coefficient((3, 2, 1), (2, 1), (2, 1))",
+        "kostka((2, 1), (), (1, 1, 1))",
+        "skew_schur((2, 2), (1,))",
+    ):
+        assert str(eval(code, namespace)) == claims[code], code
 
 
 def test_well_formed_argv_builds_no_parser(capsys):

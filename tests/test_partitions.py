@@ -14,7 +14,6 @@ from schurkit.partitions import (
     horizontal_strip_reductions,
     horizontal_strips_within,
     is_horizontal_strip,
-    is_partition,
     is_vertical_strip,
     normalize,
     parse_composition,
@@ -58,18 +57,6 @@ def test_normalize_strips_zeros_and_validates():
             normalize(bad)
         with pytest.raises(TypeError):
             horizontal_strips_within((), bad)
-
-
-def test_is_partition():
-    assert is_partition((3, 3, 1))
-    assert is_partition(())
-    assert is_partition((2, 0))
-    assert not is_partition((1, 2))
-    assert not is_partition((2, -1))
-    # parts must be exact integers, as normalize demands
-    assert not is_partition((2.5,))
-    assert not is_partition((True,))
-    assert not is_partition((2.0, 1))
 
 
 def test_conjugate_examples():

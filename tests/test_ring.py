@@ -109,7 +109,6 @@ def test_symfunc_arithmetic():
     assert 3 * f == SymFunc("s", {(2,): 3, (1, 1): 3})
     assert f * 0 == SymFunc.zero("s")
     assert not SymFunc.zero("s")
-    assert f.graded_component(2) == f and f.degrees() == [2]
 
 
 def test_mixed_basis_addition_is_an_error():

@@ -19,6 +19,7 @@ from schurkit import partitions
 from schurkit.partitions import (
     contains,
     dominates,
+    horizontal_strip_extensions,
     horizontal_strip_reductions,
     vertical_strip_extensions,
 )
@@ -28,7 +29,6 @@ from schurkit.polyval import (
     alternant_pieri_check,
     bialternant_check,
     cauchy_truncated_check,
-    embed,
     eval_e,
     eval_h,
     eval_sym_func,
@@ -38,7 +38,15 @@ from schurkit.polyval import (
     reduction_check,
     variable_split_check,
 )
-from schurkit.ring import SymFunc, skew_mirror_check, skew_schur
+from schurkit.ring import (
+    SymFunc,
+    cauchy_transition_check,
+    mirror_identity_check,
+    newton_check,
+    pieri_h,
+    skew_mirror_check,
+    skew_schur,
+)
 from schurkit.tableaux import (
     enumerate_ssyt,
     kostka,
@@ -46,6 +54,7 @@ from schurkit.tableaux import (
     signed_lr_pairs,
     signed_lr_sum,
 )
+from schurkit.verification import run_suite
 
 
 @pytest.fixture
@@ -198,9 +207,6 @@ RAISES = [
      "variable count must be int, got 1.5"),
     (lambda: alternant((1,), 1.5), TypeError, "variable count must be int, got 1.5"),
     (lambda: alternant((1,), -1), ValueError, "variable count must be nonnegative"),
-    (lambda: embed(SparsePoly.one(1), 2.5), TypeError, "variable count must be int, got 2.5"),
-    (lambda: embed(SparsePoly.one(1), 2, 0.5), TypeError, "offset must be int, got 0.5"),
-    (lambda: embed(SparsePoly.one(1), 2, -1), ValueError, "embedding does not fit"),
     (lambda: dominates((2.0,), (2,)), TypeError, "alpha entries must be int, got (2.0,)"),
     (lambda: dominates((2,), (1, True)), TypeError, "beta entries must be int, got (1, True)"),
     (lambda: contains((1.5,), (2,)), TypeError, "inner parts must be int, got (1.5,)"),
@@ -209,6 +215,24 @@ RAISES = [
     (lambda: SparsePoly(2, {(1.0, 0): 2}), TypeError, "exponents must be int, got (1.0, 0)"),
     (lambda: SparsePoly(2, {(1, 0): 2.0}), TypeError, "coefficients must be int, got 2.0"),
     (lambda: SymFunc("s", {(1,): True}), TypeError, "coefficients must be int, got True"),
+    # one nonnegative-int check serves every size, degree and bound
+    (lambda: horizontal_strip_extensions((1,), -1), ValueError, "strip size must be nonnegative"),
+    (lambda: vertical_strip_extensions((1,), -2), ValueError, "strip size must be nonnegative"),
+    (lambda: pieri_h(-1, SymFunc.one()), ValueError, "strip size must be nonnegative"),
+    (lambda: alternant_pieri_check((1,), -1, 2), ValueError, "strip size must be nonnegative"),
+    (lambda: mirror_identity_check((1,), -1), ValueError, "strip size must be nonnegative"),
+    (lambda: mirror_identity_check((1,), 2.0), TypeError, "strip size must be int, got 2.0"),
+    (lambda: cauchy_transition_check(-1), ValueError, "degree must be nonnegative"),
+    (lambda: cauchy_transition_check(-1.0), TypeError, "degree must be int, got -1.0"),
+    (lambda: cauchy_truncated_check(-1, 2), ValueError, "degree must be nonnegative"),
+    (lambda: run_suite("newton", -1), ValueError, "bound must be nonnegative"),
+    # degrees and length bounds that were used unchecked
+    (lambda: newton_check(True), TypeError, "degree must be int, got True"),
+    (lambda: newton_check(3.0), TypeError, "degree must be int, got 3.0"),
+    (lambda: newton_check(0), ValueError, "degree must be positive"),
+    (lambda: mirror_identity_check((1,), 1, 2.0), TypeError, "length bound must be int, got 2.0"),
+    (lambda: mirror_identity_check((1,), 1, True), TypeError,
+     "length bound must be int, got True"),
 ]
 
 
