@@ -43,7 +43,10 @@ class SparseCombination:
     def __init__(self, head, terms: Mapping | Iterable[tuple] = ()):
         self._check_head(head)
         _set(self, "_head", head)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # dict()'s own rule: anything with keys() is a mapping.  isinstance
+        # against the Mapping ABC walks its subclasses on each new type, a
+        # cost that falls on cold requests.
+        items = terms.items() if hasattr(terms, "keys") else terms
         _set(self, "_terms", accumulate((self._key(k), _int(c, "coefficients")) for k, c in items))
 
     @classmethod

@@ -55,10 +55,12 @@ def _check_cap(size: int, what: str) -> None:
         )
 
 
+# compiled at import, so that no request compiles a pattern
 _ELEMENT_RE = re.compile(r"\s*([shem])\s*(\[[\d,\s]*\])\s*")
 _TERM_RE = re.compile(
     r"\s*(?P<op>[+-])?\s*(?:(?P<coeff>\d+)\s*\*\s*)?(?P<basis>[shem])\s*(?P<body>\[[\d,\s]*\])"
 )
+_MULT_RE = re.compile(r"(.+?)\*\s*([shem]\s*\[.*)", re.S)
 
 
 def parse_element(text: str) -> SymFunc:
@@ -109,7 +111,7 @@ def _emit_symfunc(f: SymFunc, basis: str, as_json: bool) -> None:
 
 
 def _cmd_mult(args) -> int:
-    m = re.fullmatch(r"(.+?)\*\s*([shem]\s*\[.*)", args.expr, flags=re.S)
+    m = _MULT_RE.fullmatch(args.expr)
     if not m:
         raise UsageError(f"expected B[parts]*B[parts], got {args.expr!r}")
     left = parse_element(m.group(1))

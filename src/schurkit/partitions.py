@@ -319,13 +319,19 @@ def _partition_count(k: int) -> int:
 
 
 def compositions_of(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All vectors of `length` nonnegative integers summing to total."""
+    """All vectors of `length` nonnegative integers summing to total; none
+    when total is negative."""
+    return _compositions(_int(total, "total"), _nonneg(length, "length"))
+
+
+def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
+    # trusted: int total, length >= 0
     if length == 0:
         if total == 0:
             yield ()
         return
     for first in range(total, -1, -1):
-        for rest in compositions_of(total - first, length - 1):
+        for rest in _compositions(total - first, length - 1):
             yield (first,) + rest
 
 

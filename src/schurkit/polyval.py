@@ -27,17 +27,17 @@ from .partitions import (
     _nonneg,
     _strip_chains,
     _strip_extensions,
+    _compositions,
     _conjugate,
     _strips,
     _subpartitions,
-    compositions_of,
     normalize,
     pad,
     partitions_of,
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
-from .raising import jacobi_trudi_expand, perm_sign, staircase, straighten
+from .raising import _staircase, jacobi_trudi_expand, perm_sign, straighten
 
 
 class SparsePoly(SparseCombination):
@@ -324,7 +324,7 @@ def alternant(alpha: Sequence[int], n: int) -> SparsePoly:
 
 
 def _staircase_shift(lam: Partition, n: int) -> tuple[int, ...]:
-    rho = staircase(n)
+    rho = _staircase(n)
     lam_p = pad(lam, n)
     return tuple(lam_p[i] + rho[i] for i in range(n))
 
@@ -337,7 +337,7 @@ def bialternant_check(lam: Sequence[int], n: int) -> bool:
     if len(lam) > _int(n, "variable count"):
         raise ValueError(f"partition has more than {n} parts")
     lhs = alternant(_staircase_shift(lam, n), n)
-    rhs = _eval_s(lam, (), n) * alternant(staircase(n), n)
+    rhs = _eval_s(lam, (), n) * alternant(_staircase(n), n)
     return lhs == rhs
 
 
@@ -410,7 +410,7 @@ def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
 
     def splits():
         for total in range(sum(lam) + 1):
-            for alpha in compositions_of(total, len(lam)):
+            for alpha in _compositions(total, len(lam)):
                 sp = straighten(tuple(map(sub, lam, alpha)))
                 if sp.sign:
                     h_alpha = _h_monomial(tuple(sorted(filter(None, alpha), reverse=True)), a)
@@ -487,7 +487,7 @@ def cauchy_truncated_check(k: int, n: int, dual: bool = False) -> bool:
             + tuple(sum(a[j::n]) for j in range(n)),
             1,
         )
-        for a in (_zero_one_matrices(k, n) if dual else compositions_of(k, n * n))
+        for a in (_zero_one_matrices(k, n) if dual else _compositions(k, n * n))
     )
     rhs = (
         (1, _eval_s(lam, (), n), _eval_s(_conjugate(lam) if dual else lam, (), n))

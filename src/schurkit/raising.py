@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from ._sparse import accumulate
-from .partitions import Partition, _ints, _trim, pad
+from .partitions import Partition, _ints, _nonneg, _trim, pad
 
 
 class SignedPartition(NamedTuple):
@@ -27,6 +27,11 @@ ZERO = SignedPartition(0, None)
 
 def staircase(length: int) -> tuple[int, ...]:
     """The vector (length-1, length-2, ..., 1, 0)."""
+    return _staircase(_nonneg(length, "staircase length"))
+
+
+def _staircase(length: int) -> tuple[int, ...]:
+    # trusted: length >= 0
     return tuple(range(length - 1, -1, -1))
 
 
@@ -102,7 +107,7 @@ def _forced_contents(alpha: Sequence[int], mu: Sequence[int] = ()):
     """
     ell = max(len(alpha), len(mu))
     alpha, mu = pad(alpha, ell), pad(mu, ell)
-    rho = staircase(ell)
+    rho = _staircase(ell)
     shifted = tuple(alpha[i] + rho[i] for i in range(ell))
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     while stack:

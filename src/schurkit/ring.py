@@ -22,13 +22,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
     Partition,
+    _compositions,
     _conjugate,
     _contains,
     _dominates,
     _int,
     _nonneg,
     _trim,
-    compositions_of,
     conjugate,
     format_partition,
     horizontal_strip_extensions,
@@ -452,7 +452,7 @@ def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -
         base = pad(lam, width)
         lhs = _signed_sum(
             (tuple(base[i] + sign * alpha[i] for i in range(width)), 1)
-            for alpha in compositions_of(p, width)
+            for alpha in _compositions(p, width)
         )
         return lhs == dict.fromkeys(strips, 1)
 
@@ -471,7 +471,7 @@ def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
     ell = len(lam)
     lhs = _signed_sum(
         (tuple(lam[i] - alpha[i] for i in range(ell)), _kostka_chains(mu, (), _trim(alpha)))
-        for alpha in compositions_of(sum(mu), ell)
+        for alpha in _compositions(sum(mu), ell)
     )
     return SymFunc._trusted("s", lhs) == skew_schur(lam, mu)
 

@@ -32,7 +32,7 @@ from .partitions import (
     normalize,
     pad,
 )
-from .raising import _forced_contents, perm_sign, staircase
+from .raising import _forced_contents, _staircase, perm_sign
 
 
 class Tableau:
@@ -376,7 +376,7 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     w, tab = pair
     nu = normalize(nu)
     ell = len(w)
-    rho = staircase(ell)
+    rho = _staircase(ell)
     base = pad(nu, ell)
     expected = tuple(base[w[i]] + rho[w[i]] - rho[i] for i in range(ell))
     if tab.content(ell) != expected:

@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from schurkit import cli, clear_caches, verification
@@ -116,6 +118,24 @@ def test_parse_errors_exit_2(capsys):
     assert run(capsys, "verify", "nosuch", "3")[0] == 2
     assert run(capsys, "verify", "mirror", "-1") == (2, "", "error: bound must be nonnegative\n")
     assert run(capsys, "nosuchcommand")[0] == 2
+
+
+# (expression, exit code, stdout, stderr) of malformed and unusual products,
+# as the request path answered while it compiled its pattern per call
+MULT_CORPUS = [
+    ("s[1]**s[2]", 2, "", "error: expected a basis element like s[2,1], got 's[1]*'\n"),
+    ("*s[1]", 2, "", "error: expected B[parts]*B[parts], got '*s[1]'\n"),
+    ("s[1]*", 2, "", "error: expected B[parts]*B[parts], got 's[1]*'\n"),
+    ("s[1]*t[2]", 2, "", "error: expected B[parts]*B[parts], got 's[1]*t[2]'\n"),
+    ("s[1] *\n s[2]", 0, "s[3] + s[2,1]\n", ""),
+    ("s[1]*s[2]*s[3]", 2, "", "error: expected a basis element like s[2,1], got 's[2]*s[3]'\n"),
+    ("s[1]\u00a0*s[2]", 0, "s[3] + s[2,1]\n", ""),
+]
+
+
+def test_mult_splits_and_errors_as_before(capsys):
+    for expr, *expected in MULT_CORPUS:
+        assert list(run(capsys, "mult", expr)) == expected, expr
 
 
 def test_verify_small_bounds(capsys):
@@ -354,3 +374,65 @@ def test_malformed_argv_prints_usage_and_exits_2(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage: schurkit"), argv
+
+
+# Each argv runs in a child forked from a fresh interpreter that has only
+# imported schurkit.cli, as the benchmark's request children are.  The child
+# reports the watched functions that ran inside main.
+_COLD_REQUEST_WATCH = """
+import abc, io, json, os, sys, typing
+
+try:
+    from re import _compiler, _parser
+except ImportError:  # Python 3.10
+    import sre_compile as _compiler, sre_parse as _parser
+
+sys.path.insert(0, sys.argv[1])
+import schurkit.cli
+
+FILES = {_parser.__file__, _compiler.__file__, typing.__file__}
+CODES = {abc.ABCMeta.__instancecheck__.__code__, abc.ABCMeta.__subclasscheck__.__code__}
+for argv in json.loads(sys.argv[2]):
+    pid = os.fork()
+    if pid:
+        assert os.waitpid(pid, 0)[1] == 0, argv
+        continue
+    try:
+        ran = set()
+
+        def watch(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and (code.co_filename in FILES or code in CODES):
+                ran.add(f"{os.path.basename(code.co_filename)}:{code.co_name}")
+
+        sys.stdout = sys.stderr = io.StringIO()
+        sys.setprofile(watch)
+        rc = schurkit.cli.main(argv)
+        sys.setprofile(None)
+        os.write(1, (json.dumps([argv, rc, sorted(ran)]) + "\\n").encode())
+    finally:
+        os._exit(0)
+"""
+
+COLD_ARGVS = [
+    ["mult", "s[3,1]*s[2,2,1]"],
+    *(["convert", f"{b}[3,1] + 2*{b}[2,2]", "--basis", "s" if b != "s" else "h"] for b in "shem"),
+    ["lr", "[3,2,1]", "[2,1]", "[2,1]"],
+    ["kostka", "[3,2]", "[1]", "[2,1,1]"],
+    ["skew", "[3,2]", "[1]"],
+    ["eval", "[2,1]", "--vars", "2"],
+    ["verify", "newton", "3"],
+]
+
+
+def test_cold_requests_compile_no_pattern_and_run_no_abc_check():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_REQUEST_WATCH, src, json.dumps(COLD_ARGVS)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [argv for argv, _, _ in reports] == COLD_ARGVS
+    assert [report for report in reports if report[1:] != [0, []]] == []

@@ -130,6 +130,14 @@ def test_sparse_poly_text_and_json():
     assert str(SparsePoly(1, {(0,): 1, (3,): -1})) == "1 - x1^3"
 
 
+def test_sparse_poly_takes_a_mapping_or_pairs():
+    p = SparsePoly(3, {(2, 0, 1): -1, (0, 1, 0): 7, (0, 0, 0): 4})
+    pairs = list(p.terms.items())
+    for terms in (p.terms, dict(pairs), pairs, tuple(pairs), (pair for pair in pairs)):
+        q = SparsePoly(3, terms)
+        assert q == p and SparsePoly.from_json(q.to_json()) == p
+
+
 def test_eval_m_examples():
     assert eval_m((2,), 2) == SparsePoly(2, {(2, 0): 1, (0, 2): 1})
     assert eval_m((1, 1), 3) == SparsePoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})

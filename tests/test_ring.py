@@ -142,6 +142,15 @@ def test_symfunc_json_round_trip():
     assert SymFunc.from_json(big.to_json()) == big
 
 
+def test_symfunc_takes_a_mapping_or_pairs():
+    for basis in "shem":
+        f = SymFunc(basis, {(3, 1): 2, (2, 2): -1, (): 5})
+        pairs = list(f.terms.items())
+        for terms in (f.terms, dict(pairs), pairs, tuple(pairs), (pair for pair in pairs)):
+            g = SymFunc(basis, terms)
+            assert g == f and SymFunc.from_json(g.to_json()) == f
+
+
 def test_pieri_examples():
     assert pieri_h(1, s((1,))) == s((2,)) + s((1, 1))
     assert pieri_h(2, s((2, 1))) == SymFunc(

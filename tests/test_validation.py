@@ -17,6 +17,7 @@ import pytest
 import schurkit
 from schurkit import partitions
 from schurkit.partitions import (
+    compositions_of,
     contains,
     dominates,
     horizontal_strip_extensions,
@@ -38,6 +39,7 @@ from schurkit.polyval import (
     reduction_check,
     variable_split_check,
 )
+from schurkit.raising import staircase
 from schurkit.ring import (
     SymFunc,
     cauchy_transition_check,
@@ -233,6 +235,13 @@ RAISES = [
     (lambda: mirror_identity_check((1,), 1, 2.0), TypeError, "length bound must be int, got 2.0"),
     (lambda: mirror_identity_check((1,), 1, True), TypeError,
      "length bound must be int, got True"),
+    # the exported enumeration helpers, which checked no argument
+    (lambda: compositions_of(2, -1), ValueError, "length must be nonnegative"),
+    (lambda: compositions_of(True, 1), TypeError, "total must be int, got True"),
+    (lambda: compositions_of(2.0, 2), TypeError, "total must be int, got 2.0"),
+    (lambda: compositions_of(2, 1.0), TypeError, "length must be int, got 1.0"),
+    (lambda: staircase(True), TypeError, "staircase length must be int, got True"),
+    (lambda: staircase(-1), ValueError, "staircase length must be nonnegative"),
 ]
 
 
@@ -256,6 +265,8 @@ RETURNS = [
     (lambda: skew_mirror_check((2, 1), (3,)), True),
     (lambda: horizontal_strip_reductions((2, 1), 4), []),
     (lambda: horizontal_strip_reductions((), 0), [()]),
+    # a negative total has no compositions
+    (lambda: list(compositions_of(-1, 2)), []),
 ]
 
 
