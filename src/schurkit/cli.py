@@ -46,8 +46,13 @@ def _max_degree() -> int:
     return cap
 
 
-def _check_cap(size: int, what: str) -> None:
-    cap = _max_degree()
+def _check_cap(args, size: int, what: str) -> None:
+    # main sets args.max_degree to None; the first check of a command reads
+    # the variable and keeps it, so a command reads it once, and an input
+    # error found before that check is still the one reported
+    if args.max_degree is None:
+        args.max_degree = _max_degree()
+    cap = args.max_degree
     if size > cap:
         raise UsageError(
             f"{what} has size {size}, above the cap {cap} "
@@ -117,7 +122,7 @@ def _cmd_mult(args) -> int:
     left = parse_element(m.group(1))
     right = parse_element(m.group(2))
     degrees = [sum(lam) for lam in (*left._terms, *right._terms)]
-    _check_cap(sum(degrees), "product degree")
+    _check_cap(args, sum(degrees), "product degree")
     _emit_symfunc(multiply(left, right), args.basis, args.json)
     return 0
 
@@ -125,7 +130,7 @@ def _cmd_mult(args) -> int:
 def _cmd_convert(args) -> int:
     f = parse_symfunc(args.expr)
     for lam in f._terms:
-        _check_cap(sum(lam), f"partition {format_partition(lam)}")
+        _check_cap(args, sum(lam), f"partition {format_partition(lam)}")
     _emit_symfunc(f, args.basis, args.json)
     return 0
 
@@ -134,7 +139,7 @@ def _cmd_lr(args) -> int:
     lam = parse_partition(args.outer)
     mu = parse_partition(args.inner)
     nu = parse_partition(args.content)
-    _check_cap(sum(lam), f"partition {format_partition(lam)}")
+    _check_cap(args, sum(lam), f"partition {format_partition(lam)}")
     witnesses = lr_tableaux(lam, mu, nu) if args.witnesses else None
     _print_count(lr_coefficient(lam, mu, nu), witnesses, args.json)
     return 0
@@ -144,7 +149,7 @@ def _cmd_kostka(args) -> int:
     lam = parse_partition(args.outer)
     mu = parse_partition(args.inner)
     alpha = parse_composition(args.content)
-    _check_cap(sum(lam), f"partition {format_partition(lam)}")
+    _check_cap(args, sum(lam), f"partition {format_partition(lam)}")
     count = kostka(lam, mu, alpha)
     witnesses = None
     if args.witnesses:
@@ -172,7 +177,7 @@ def _print_count(count: int, witnesses, as_json: bool) -> None:
 def _cmd_skew(args) -> int:
     lam = parse_partition(args.outer)
     mu = parse_partition(args.inner)
-    _check_cap(sum(lam), f"partition {format_partition(lam)}")
+    _check_cap(args, sum(lam), f"partition {format_partition(lam)}")
     _emit_symfunc(skew_schur(lam, mu), args.basis, args.json)
     return 0
 
@@ -180,10 +185,10 @@ def _cmd_skew(args) -> int:
 def _cmd_eval(args) -> int:
     lam = parse_partition(args.outer)
     mu = parse_partition(args.inner) if args.inner is not None else ()
-    _check_cap(sum(lam), f"partition {format_partition(lam)}")
+    _check_cap(args, sum(lam), f"partition {format_partition(lam)}")
     if args.vars < 0:
         raise UsageError("--vars must be nonnegative")
-    _check_cap(args.vars, "variable count")
+    _check_cap(args, args.vars, "variable count")
     poly = eval_s_tableau(lam, mu, args.vars)
     print(poly.to_json() if args.json else str(poly))
     return 0
@@ -203,7 +208,7 @@ def _cmd_verify(args) -> int:
             # `verify all` at the memory of its largest suite
             clear_caches()
         bound = args.bound if args.bound is not None else ACCEPTANCE_BOUNDS[name]
-        _check_cap(bound, "verification bound")
+        _check_cap(args, bound, "verification bound")
         result = run_suite(name, bound, progress if not args.quiet else None)
         prefix = f"{name}: " if args.suite == "all" else ""
         if result.ok:
@@ -390,6 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+    args.max_degree = None
     try:
         return args.func(args)
     except ValueError as exc:

@@ -325,14 +325,29 @@ def compositions_of(total: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    # trusted: int total, length >= 0
-    if length == 0:
+    # trusted: int total, length >= 0.  Lexicographically descending, from
+    # (total, 0, ..., 0), on one list: the successor moves one unit from the
+    # last nonzero entry before the final slot, i, to slot i + 1, and takes
+    # the final slot's units along (slots i + 1 .. length - 2 are all 0).
+    if not length:
         if total == 0:
             yield ()
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, length - 1):
-            yield (first,) + rest
+    if total < 0:
+        return
+    a = [total] + [0] * (length - 1)
+    last = length - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and not a[i]:
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        tail = a[last] + 1
+        a[last] = 0
+        a[i + 1] = tail
 
 
 # whitespace may pad brackets and commas but never splits a number

@@ -3,12 +3,15 @@
 This is the ground-truth side of the library: every ring-level identity has
 a brute-force counterpart here, computed monomial by monomial with integer
 coefficients.  Exponent vectors are dense tuples of fixed length n inside a
-sparse term map.  Only inside a product and inside the tableau walk of
-eval_s_tableau are they packed into single integers, a fixed number of
-bytes per variable with x_1 most significant (Kronecker substitution);
-every value either returns carries tuples again.  A product over disjoint
-alphabets joins exponent vectors end to end instead: the identity checks
-sum such products, and plain linear combinations, in one pass.
+sparse term map.  Three places pack them into single integers, a fixed
+number of bytes per variable with x_1 most significant (Kronecker
+substitution, `_pack`): a product, the tableau walk behind eval_s_tableau,
+and the h-product chain.  The walk and the chain keep their terms packed,
+and jacobi_trudi_eval_check compares the two packed, at a width that holds
+every exponent up to |lam|; every value the module returns carries tuples.
+A product over disjoint alphabets joins exponent vectors end to end
+instead: the other identity checks sum such products, and plain linear
+combinations, in one pass.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .partitions import (
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
-from .raising import _staircase, jacobi_trudi_expand, perm_sign, straighten
+from .raising import _staircase, _straighten, jacobi_trudi_expand, perm_sign
 
 
 class SparsePoly(SparseCombination):
@@ -101,10 +104,9 @@ class SparsePoly(SparseCombination):
         # those of e_1, ..., e_n, and adding packed keys adds exponent
         # vectors without carries
         n, width = self._head, _byte_width(self.degree() + other.degree())
-        weights = [256 ** (width * i) for i in range(n - 1, -1, -1)]
-        left = [(sum(map(mul, e, weights)), c) for e, c in self._terms.items()]
-        right = [(sum(map(mul, e, weights)), c) for e, c in other._terms.items()]
-        packed = accumulate((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right)
+        left = {_pack(e, width): c for e, c in self._terms.items()}
+        right = {_pack(e, width): c for e, c in other._terms.items()}
+        packed = _packed_product(left, right)
         return self._like({_unpack(k, width, n): c for k, c in packed.items()})
 
     def degree(self) -> int:
@@ -119,12 +121,26 @@ def _byte_width(degree: int) -> int:
     return max(1, (degree.bit_length() + 7) // 8)
 
 
+def _pack(exps: Sequence[int], width: int) -> int:
+    # the exponents as `width` big-endian bytes each, x_1 first; exact only
+    # while every exponent is below 256 ** width
+    if width == 1:
+        return int.from_bytes(bytes(exps), "big")
+    return int.from_bytes(b"".join(e.to_bytes(width, "big") for e in exps), "big")
+
+
 def _unpack(key: int, width: int, n: int) -> tuple[int, ...]:
-    # inverse of packing n exponents of `width` bytes each, x_1 first
+    # inverse of _pack for n exponents
     raw = key.to_bytes(n * width, "big")
     if width == 1:  # every degree below 256: each byte is an exponent
         return tuple(raw)
     return tuple(int.from_bytes(raw[i : i + width], "big") for i in range(0, n * width, width))
+
+
+def _packed_product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    # packed terms of a product: adding keys adds exponent vectors, carry
+    # free while the product's degree fits the width both sides share
+    return accumulate((k1 + k2, c1 * c2) for k1, c1 in left.items() for k2, c2 in right.items())
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +219,19 @@ def _eval_m(lam: Partition, n: int) -> SparsePoly:
 
 
 @memo
-def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
-    # beta sorted descending so prefixes are shared across callers
+def _h_packed(beta: tuple[int, ...], n: int, width: int) -> dict[int, int]:
+    # the packed terms of h_beta(x_1..x_n), each exponent in `width` bytes:
+    # beta sorted descending, so callers share prefixes
     if not beta:
-        return SparsePoly.one(n)
-    return _h_monomial(beta[:-1], n) * _eval_h(beta[-1], n)
+        return {0: 1}
+    last = {_pack(e, width): 1 for e in _eval_h(beta[-1], n)._terms}
+    return _packed_product(_h_packed(beta[:-1], n, width), last)
+
+
+def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
+    # the tuple view of _h_packed; beta sorted descending
+    width = _byte_width(sum(beta))
+    return SparsePoly._trusted(n, {_unpack(k, width, n): c for k, c in _h_packed(beta, n, width).items()})
 
 
 def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
@@ -221,15 +245,21 @@ def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
 
 @memo
 def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
-    if not _contains(mu, lam):
-        return SparsePoly.zero(n)
-    if not n:
-        return SparsePoly.one(0) if lam == mu else SparsePoly.zero(0)
-    # shape nu -> {monomial in x_1..x_i: number of chains mu -> nu}; the
-    # chains that meet in one shape continue together.  Monomials are packed
-    # as in a product, x_1 most significant, so x_{i+1} appends one digit.
     width = _byte_width(sum(lam) - sum(mu))
-    shift = 8 * width
+    return SparsePoly._trusted(n, {_unpack(e, width, n): c for e, c in _s_packed(lam, mu, n).items()})
+
+
+def _s_packed(lam: Partition, mu: Partition, n: int) -> dict[int, int]:
+    """The terms of s_{lam/mu}(x_1..x_n) with exponents packed as by _pack,
+    at the width _byte_width(|lam| - |mu|).  Trusted: canonical partitions."""
+    if not _contains(mu, lam):
+        return {}
+    if not n:
+        return {0: 1} if lam == mu else {}
+    # shape nu -> {monomial in x_1..x_i: number of chains mu -> nu}; the
+    # chains that meet in one shape continue together.  x_1 is the most
+    # significant digit, so x_{i+1} appends one.
+    shift = 8 * _byte_width(sum(lam) - sum(mu))
     level: dict[Partition, dict[int, int]] = {mu: {0: 1}}
     for _ in range(n - 1):
         nxt: dict[Partition, dict[int, int]] = {}
@@ -245,13 +275,12 @@ def _eval_s(lam: Partition, mu: Partition, n: int) -> SparsePoly:
         level = nxt
     # x_n adds the boxes of lam/nu, which must form a horizontal strip
     total = sum(lam)
-    packed = accumulate(
+    return accumulate(
         (e << shift | total - sum(nu), c)
         for nu, prefixes in level.items()
         if _interleaves(nu, lam)
         for e, c in prefixes.items()
     )
-    return SparsePoly._trusted(n, {_unpack(e, width, n): c for e, c in packed.items()})
 
 
 def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> SparsePoly:
@@ -383,10 +412,13 @@ def jacobi_trudi_eval_check(lam: Sequence[int], n: int) -> bool:
     reproduces the tableau sum exactly."""
     lam = normalize(lam)
     SparsePoly._check_head(n)
-    # the h-indices come sorted descending, as _h_monomial keys them
+    # Both sides stay packed at the width of the walk, which holds every
+    # exponent up to |lam|: no sum can carry into the next variable.  The
+    # h-indices come sorted descending, as _h_packed keys them.
+    width = _byte_width(sum(lam))
     terms = jacobi_trudi_expand(lam).items()
-    total = _joined_sum(n, ((c, _h_monomial(beta, n), _ONE) for beta, c in terms))
-    return total == _eval_s(lam, (), n)
+    total = accumulate((k, c * v) for beta, c in terms for k, v in _h_packed(beta, n, width).items())
+    return total == _s_packed(lam, (), n)
 
 
 def variable_split_check(lam: Sequence[int], a: int, b: int) -> bool:
@@ -411,7 +443,7 @@ def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
     def splits():
         for total in range(sum(lam) + 1):
             for alpha in _compositions(total, len(lam)):
-                sp = straighten(tuple(map(sub, lam, alpha)))
+                sp = _straighten(tuple(map(sub, lam, alpha)))
                 if sp.sign:
                     h_alpha = _h_monomial(tuple(sorted(filter(None, alpha), reverse=True)), a)
                     yield sp.sign, h_alpha, _eval_s(sp.partition, (), b)

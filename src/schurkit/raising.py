@@ -70,17 +70,20 @@ def straighten(alpha: Sequence[int]) -> SignedPartition:
     Add the staircase, demand distinct entries (a tie means a determinant
     with two equal rows), sort descending while tracking the permutation
     parity, and subtract the staircase back off.  The length of alpha is the
-    working length; trailing zeros do not change the outcome.
+    working length; trailing zeros do not change the outcome.  Checks that
+    every entry is an int, then runs the trusted `_straighten`.
     """
-    alpha = _ints(alpha, "index vector")
+    return _straighten(_ints(alpha, "index vector"))
+
+
+def _straighten(alpha: tuple[int, ...]) -> SignedPartition:
+    # trusted: a tuple of ints
     ell = len(alpha)
-    shifted = [alpha[i] + (ell - 1 - i) for i in range(ell)]
-    if len(set(shifted)) != ell:
-        return ZERO
-    if shifted and min(shifted) < 0:
+    shifted = [a + ell - i for i, a in enumerate(alpha, 1)]
+    if len(set(shifted)) != ell or (shifted and min(shifted) < 0):
         return ZERO
     order = sorted(range(ell), key=shifted.__getitem__, reverse=True)
-    mu = tuple(shifted[order[i]] - (ell - 1 - i) for i in range(ell))
+    mu = tuple(shifted[k] - ell + i for i, k in enumerate(order, 1))
     return SignedPartition(perm_sign(order), _trim(mu))
 
 

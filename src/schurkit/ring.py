@@ -18,6 +18,7 @@ to the route through s.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import (
@@ -40,7 +41,7 @@ from .partitions import (
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
-from .raising import jacobi_trudi_expand, straighten
+from .raising import _straighten, jacobi_trudi_expand
 from .tableaux import _kostka_chains, _lr_coefficient, _lr_fillings
 
 BASES = ("s", "h", "e", "m")
@@ -426,10 +427,10 @@ def skew_jacobi_trudi(
 # identity checks
 
 
-def _signed_sum(weighted: Iterable[tuple[Sequence[int], int]]) -> dict[Partition, int]:
-    """Straighten each index vector and sum its weight times the sign."""
-    straightened = ((straighten(vec), w) for vec, w in weighted if w)
-    return accumulate((sp.partition, w * sp.sign) for sp, w in straightened if sp.sign)
+def _signed_sum(vectors: Iterable[tuple[int, ...]]) -> dict[Partition, int]:
+    """Straighten each index vector (a tuple of ints) and sum the signs."""
+    straightened = (_straighten(vec) for vec in vectors)
+    return accumulate((sp.partition, sp.sign) for sp in straightened if sp.sign)
 
 
 def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -> bool:
@@ -448,17 +449,14 @@ def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -
     if n is not None and _int(n, "length bound") < ell:
         raise ValueError(f"length bound {n} is below the partition length {ell}")
 
-    def side(width: int, sign: int, strips: list[Partition]) -> bool:
+    def side(width: int, step, strips: list[Partition]) -> bool:
         base = pad(lam, width)
-        lhs = _signed_sum(
-            (tuple(base[i] + sign * alpha[i] for i in range(width)), 1)
-            for alpha in _compositions(p, width)
-        )
+        lhs = _signed_sum(tuple(map(step, base, alpha)) for alpha in _compositions(p, width))
         return lhs == dict.fromkeys(strips, 1)
 
     return side(
-        ell + p if n is None else n, 1, horizontal_strip_extensions(lam, p, max_len=n)
-    ) and side(ell + 1 if n is None else n, -1, horizontal_strip_reductions(lam, p))
+        ell + p if n is None else n, add, horizontal_strip_extensions(lam, p, max_len=n)
+    ) and side(ell + 1 if n is None else n, sub, horizontal_strip_reductions(lam, p))
 
 
 def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -468,10 +466,11 @@ def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
     lam, mu = normalize(lam), normalize(mu)
     if not _contains(mu, lam):
         return not skew_schur(lam, mu)
-    ell = len(lam)
-    lhs = _signed_sum(
-        (tuple(lam[i] - alpha[i] for i in range(ell)), _kostka_chains(mu, (), _trim(alpha)))
-        for alpha in _compositions(sum(mu), ell)
+    # the Kostka weight only where lam - alpha straightens to a partition
+    lhs = accumulate(
+        (sp.partition, sp.sign * _kostka_chains(mu, (), _trim(alpha)))
+        for alpha in _compositions(sum(mu), len(lam))
+        if (sp := _straighten(tuple(map(sub, lam, alpha)))).sign
     )
     return SymFunc._trusted("s", lhs) == skew_schur(lam, mu)
 

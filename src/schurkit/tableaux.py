@@ -16,6 +16,7 @@ independent of it, as its checks.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import NamedTuple, Optional, Sequence
 
 from ._memo import memo
@@ -91,7 +92,7 @@ class Tableau:
         return sum(len(r) for r in self.rows)
 
     def max_entry(self) -> int:
-        return max((e for row in self.rows for e in row), default=0)
+        return max((max(row) for row in self.rows if row), default=0)
 
     def content(self, length: Optional[int] = None) -> tuple[int, ...]:
         """Occurrence counts of the entries 1, 2, ..., padded to `length`.
@@ -112,23 +113,24 @@ class Tableau:
 
     def content_from_column(self, col: int) -> tuple[int, ...]:
         """Content of the subtableau occupying columns >= col."""
-        m = self.max_entry()
-        counts = [0] * m
-        for _, c, e in self.cells():
-            if c >= col:
+        counts = [0] * self.max_entry()
+        for i, row in enumerate(self.rows):
+            # row i starts in column inner_i + 1
+            offset = self.inner[i] if i < len(self.inner) else 0
+            for e in row[max(col - offset - 1, 0) :]:
                 counts[e - 1] += 1
         return tuple(counts)
 
     def is_semistandard(self) -> bool:
-        for row in self.rows:
-            if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
-                return False
-        columns: dict[int, list[tuple[int, int]]] = {}
-        for i, c, e in self.cells():
-            columns.setdefault(c, []).append((i, e))
-        for cells in columns.values():
-            cells.sort()
-            if any(cells[k][1] >= cells[k + 1][1] for k in range(len(cells) - 1)):
+        rows, inner = self.rows, self.inner
+        if any(a > b for row in rows for a, b in zip(row, row[1:])):
+            return False
+        # A column of a skew shape meets consecutive rows, so comparing each
+        # row with the one above, column by column, checks every column.
+        # Row i starts `shift` columns left of row i - 1 (inner is a partition).
+        for i in range(1, len(rows)):
+            shift = (inner[i - 1] if i <= len(inner) else 0) - (inner[i] if i < len(inner) else 0)
+            if any(a >= b for a, b in zip(rows[i - 1], rows[i][shift:])):
                 return False
         return True
 
@@ -243,7 +245,7 @@ def is_lr_tableau(tab: Tableau) -> bool:
 
 
 def _is_weakly_decreasing(counts: Sequence[int]) -> bool:
-    return all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
+    return not any(map(lt, counts, counts[1:]))
 
 
 def _max_bad_column(tab: Tableau) -> Optional[int]:
@@ -355,12 +357,14 @@ def signed_lr_sum(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> i
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
         return 0
-    total = 0
-    for perm, forced in _forced_contents(nu):
-        count = _kostka_chains(lam, mu, _trim(forced))
-        if count:
-            total += perm_sign(perm) * count
-    return total
+    return sum(sign * _kostka_chains(lam, mu, forced) for sign, forced in _signed_contents(nu))
+
+
+@memo
+def _signed_contents(nu: Partition) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # (sign(w), forced content without trailing zeros) for each w of
+    # _forced_contents(nu): what signed_lr_sum reads for every lam and mu
+    return tuple((perm_sign(perm), _trim(forced)) for perm, forced in _forced_contents(nu))
 
 
 def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
@@ -371,7 +375,13 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     be altered.  Entries j (resp. j+1) are free when their column holds no
     j+1 (resp. j); all free entries strictly left of column r flip between j
     and j+1, rows are re-sorted, and the transposition (j, j+1) is composed
-    onto w.  The output filling is revalidated rather than trusted.
+    onto w.
+
+    The pair must be consistent (the content of the filling is the forced
+    content of w) and bad.  The columns are built once, and one pass from
+    the right finds r and its suffix content.  The flipped filling keeps
+    the shape and every row length, so it is built without the
+    constructor's checks, then revalidated with is_semistandard.
     """
     w, tab = pair
     nu = normalize(nu)
@@ -381,30 +391,34 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     expected = tuple(base[w[i]] + rho[w[i]] - rho[i] for i in range(ell))
     if tab.content(ell) != expected:
         raise ValueError("pair is inconsistent: content does not match w")
-    r = _max_bad_column(tab)
-    if r is None:
+    offsets = [tab.inner[i] if i < len(tab.inner) else 0 for i in range(len(tab.rows))]
+    columns: dict[int, list[int]] = {}
+    for offset, row in zip(offsets, tab.rows):
+        for col, e in enumerate(row, offset + 1):
+            columns.setdefault(col, []).append(e)
+    # entries are at most ell, and zeros past the largest do not change
+    # where counts first rises
+    counts = [0] * ell
+    for r in range(tab.outer[0] if tab.outer else 0, 0, -1):
+        for e in columns.get(r, ()):
+            counts[e - 1] += 1
+        if not _is_weakly_decreasing(counts):
+            break
+    else:
         raise ValueError("pair is not bad: involution undefined")
-    counts = tab.content_from_column(r)
-    j = next(
-        i + 1 for i in range(len(counts) - 1) if counts[i] < counts[i + 1]
-    )
-    column_entries: dict[int, set[int]] = {}
-    for _, c, e in tab.cells():
-        column_entries.setdefault(c, set()).add(e)
+    j = next(i + 1 for i in range(ell - 1) if counts[i] < counts[i + 1])
     new_rows = []
-    for i, row in enumerate(tab.rows):
-        offset = tab.inner[i] if i < len(tab.inner) else 0
+    for offset, row in zip(offsets, tab.rows):
         vals = list(row)
-        for k, e in enumerate(vals):
-            col = offset + k + 1
-            if col >= r:
-                continue
-            if e == j and (j + 1) not in column_entries[col]:
+        # the entries left of column r
+        for k in range(min(len(vals), r - offset - 1)):
+            column = columns[offset + k + 1]
+            if vals[k] == j and j + 1 not in column:
                 vals[k] = j + 1
-            elif e == j + 1 and j not in column_entries[col]:
+            elif vals[k] == j + 1 and j not in column:
                 vals[k] = j
         new_rows.append(tuple(sorted(vals)))
-    flipped = Tableau(tab.outer, tab.inner, new_rows)
+    flipped = Tableau._trusted(tab.outer, tab.inner, tuple(new_rows))
     if not flipped.is_semistandard():
         raise RuntimeError(
             f"involution produced a non-semistandard filling from {tab!r}"

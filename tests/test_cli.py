@@ -3,11 +3,14 @@ import importlib.util
 import io
 import itertools
 import json
+import os
 import random
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from schurkit import cli, clear_caches, verification
 from schurkit.cli import _build_parser, _read_argv, main
@@ -189,6 +192,14 @@ def test_run_suite_counts_every_check():
         assert (result.name, result.checked, result.failures) == (name, checks, [])
 
 
+# the verify-sweep benchmark's pinned bounds and check counts, for the
+# suites that read the packed and trusted cores
+@pytest.mark.parametrize("name, bound, checks", [("lr-signed", 7, 4165), ("skew-jt", 7, 1871), ("mirror", 5, 380)])
+def test_run_suite_counts_at_the_benchmark_bounds(name, bound, checks):
+    result = verification.run_suite(name, bound)
+    assert (result.checked, result.failures) == (checks, [])
+
+
 def test_run_suite_collects_every_failure_in_order(monkeypatch):
     monkeypatch.setattr(verification, "bialternant_check", lambda lam, n: n != 4)
     monkeypatch.setattr(verification, "alternant_pieri_check", lambda lam, r, n: r != 1)
@@ -212,6 +223,46 @@ def test_run_suite_reports_a_fixed_involution(monkeypatch):
     assert result.failures[0] == (
         "involution has a fixed point: SignedPair(w=(0, 1), tableau=Tableau(1 2)) in (2,)/()"
     )
+
+
+def test_a_command_reads_the_degree_cap_once(capsys, monkeypatch):
+    # the first cap check of a command reads SCHURKIT_MAX_DEGREE; the later
+    # ones (the variable count, each term, each suite) reuse it
+    monkeypatch.setattr(cli, "run_suite", lambda name, bound, progress: verification.SuiteResult(name, 1, []))
+    getitem = os._Environ.__getitem__.__code__
+    for argv in (
+        ["eval", "[2,1]", "--vars", "2"],
+        ["convert", "s[2] + s[1,1] + s[3]", "--basis", "h"],
+        ["verify", "all", "--quiet"],
+    ):
+        reads = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code is getitem and frame.f_locals["key"] == "SCHURKIT_MAX_DEGREE":
+                reads.append(argv)
+
+        sys.setprofile(watch)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert (code, len(reads)) == (0, 1), argv
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "SCHURKIT_MAX_DEGREE is not an integer: 'abc'"),
+        ("-1", "SCHURKIT_MAX_DEGREE must be nonnegative: -1"),
+    ],
+)
+def test_a_bad_degree_cap_is_reported_after_input_errors(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("SCHURKIT_MAX_DEGREE", value)
+    for argv in (["eval", "[2,1]", "--vars", "2"], ["verify", "all", "--quiet"]):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    # a malformed partition is found before the first cap check
+    assert run(capsys, "lr", "[2,x]", "[1]", "[1]") == (2, "", "error: bad partition literal: '[2,x]'\n")
 
 
 def test_degree_cap(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from schurkit import _memo, cli, polyval, ring
 from schurkit.partitions import partition_count
 from schurkit.polyval import eval_e, eval_h, eval_h_monomial, eval_s_tableau
 from schurkit.ring import BASES, SymFunc, convert, kostka_inverse, kostka_matrix, multiply
-from schurkit.tableaux import kostka, lr_coefficient
+from schurkit.tableaux import kostka, lr_coefficient, signed_lr_sum
 
 
 def test_one_clear_empties_every_memo(capsys):
@@ -15,6 +15,7 @@ def test_one_clear_empties_every_memo(capsys):
             convert(SymFunc.element(a, (2, 1)), b)
     multiply(SymFunc.element("s", (2, 1)), SymFunc.element("s", (1,)))
     lr_coefficient((3, 2, 1), (2, 1), (2, 1))
+    signed_lr_sum((3, 2, 1), (2, 1), (2, 1))
     kostka((3, 1), (), (2, 1, 1))
     eval_s_tableau((2, 1), (), 3)
     kostka_matrix(4)

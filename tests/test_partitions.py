@@ -231,6 +231,24 @@ def test_compositions_of():
     assert len(list(compositions_of(4, 3))) == 15
 
 
+def _compositions_by_recursion(total, length):
+    # the reference order: the first entry from total down, then the rest
+    if length == 0:
+        return [()] if total == 0 else []
+    firsts = range(total, -1, -1)
+    return [(f,) + rest for f in firsts for rest in _compositions_by_recursion(total - f, length - 1)]
+
+
+def test_compositions_walk_in_the_recursive_order():
+    for total in range(-2, 8):
+        for length in range(7):
+            assert list(compositions_of(total, length)) == _compositions_by_recursion(total, length)
+    # it streams: the first two of C(39, 19) vectors come without the rest
+    walk = compositions_of(20, 20)
+    assert next(walk) == (20,) + (0,) * 19
+    assert next(walk) == (19, 1) + (0,) * 18
+
+
 def test_partition_literals_round_trip():
     assert parse_partition("[3,1]") == (3, 1)
     assert parse_partition("[]") == ()

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 from operator import add
@@ -28,6 +29,7 @@ from schurkit.polyval import (
     reduction_check,
     variable_split_check,
 )
+from schurkit.raising import jacobi_trudi_expand
 from schurkit.ring import SymFunc, convert, multiply
 from schurkit.tableaux import enumerate_ssyt
 
@@ -421,6 +423,77 @@ def test_jacobi_trudi_eval():
     for k in range(6):
         for lam in partitions_of(k):
             assert jacobi_trudi_eval_check(lam, 4)
+
+
+def _h_product_by_tuples(beta, n):
+    # the h-product chain without packing: factors joined by tuple addition
+    terms = {(0,) * n: 1}
+    for b in beta:
+        terms = _tuple_add_product(SparsePoly(n, terms), eval_h(b, n))
+    return terms
+
+
+def test_packed_h_products_match_tuple_products():
+    for k in range(7):
+        for beta in partitions_of(k):
+            for n in range(5):
+                for width in (1, 2):
+                    packed = polyval._h_packed(beta, n, width)
+                    unpacked = {polyval._unpack(e, width, n): c for e, c in packed.items()}
+                    assert unpacked == _h_product_by_tuples(beta, n), (beta, n, width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_pack_round_trips(width):
+    top = 256**width - 1
+    for n in range(5):
+        for exps in itertools.product((0, 1, top // 2, top), repeat=n):
+            assert polyval._unpack(polyval._pack(exps, width), width, n) == exps
+    # the Jacobi-Trudi check packs at the width of |lam|, its largest exponent
+    for size in (0, 1, 255, 256, 65535, 65536):
+        w = polyval._byte_width(size)
+        assert polyval._unpack(polyval._pack((size, 0, size), w), w, 3) == (size, 0, size)
+
+
+def _jacobi_trudi_by_joined_sum(lam, n):
+    # the tuple route: tuple-keyed h-products summed by _joined_sum
+    one = SparsePoly.one(0)
+    terms = jacobi_trudi_expand(lam).items()
+    h_side = ((c, SparsePoly(n, _h_product_by_tuples(beta, n)), one) for beta, c in terms)
+    return polyval._joined_sum(n, h_side) == eval_s_tableau(lam, (), n)
+
+
+def test_packed_jacobi_trudi_check_matches_the_tuple_route():
+    for k in range(7):
+        for lam in partitions_of(k):
+            for n in range(6):
+                assert jacobi_trudi_eval_check(lam, n) is _jacobi_trudi_by_joined_sum(lam, n) is True
+
+
+@pytest.mark.parametrize("fault", ["flip one determinant coefficient", "drop one tableau term"])
+def test_jacobi_trudi_eval_check_catches_a_fault(monkeypatch, fault):
+    expand, walk = polyval.jacobi_trudi_expand, polyval._s_packed
+
+    def flipped(lam):
+        terms = dict(expand(lam))
+        terms[max(terms)] *= -1
+        return terms
+
+    def dropped(lam, mu, n):
+        terms = dict(walk(lam, mu, n))
+        del terms[max(terms)]
+        return terms
+
+    if fault == "flip one determinant coefficient":
+        monkeypatch.setattr(polyval, "jacobi_trudi_expand", flipped)
+    else:
+        monkeypatch.setattr(polyval, "_s_packed", dropped)
+    try:
+        shapes = [lam for k in range(7) for lam in partitions_of(k) if len(lam) <= 4]
+        assert not any(jacobi_trudi_eval_check(lam, 4) for lam in shapes)
+    finally:
+        # the memo of _eval_s may have read the faulty walk
+        schurkit.clear_caches()
 
 
 def test_joined_sum_matches_embedded_products():

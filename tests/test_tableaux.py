@@ -6,10 +6,12 @@ import pickle
 import pytest
 
 import schurkit
+from schurkit import tableaux, verification
 from schurkit.partitions import partitions_of, subpartitions
 from schurkit.tableaux import (
     SignedPair,
     Tableau,
+    _max_bad_column,
     bz_involution,
     enumerate_ssyt,
     is_bad_pair,
@@ -250,6 +252,9 @@ def test_bz_involution_properties():
             assert image.sign == -pair.sign
             assert image != pair
             assert bz_involution(image, nu) == pair
+            # built without the constructor's checks, it passes them
+            t = image.tableau
+            assert Tableau(t.outer, t.inner, t.rows) == t
     assert seen > 400
 
 
@@ -290,3 +295,94 @@ def test_ssyt_counts_match_hook_content_formula():
         for lam in partitions_of(k):
             for n in range(1, 6):
                 assert len(enumerate_ssyt(lam, (), n)) == hook_content_count(lam, n)
+
+
+# References for the row-based tableau reads: each reads cells() and
+# compares every pair of boxes it relates, not only neighbours.
+
+
+def _max_entry_by_cells(t):
+    return max((e for _, _, e in t.cells()), default=0)
+
+
+def _content_from_column_by_cells(t, col):
+    counts = [0] * _max_entry_by_cells(t)
+    for _, c, e in t.cells():
+        if c >= col:
+            counts[e - 1] += 1
+    return tuple(counts)
+
+
+def _is_semistandard_by_cells(t):
+    cells = list(t.cells())
+    return all(
+        (e <= f if c < d else e < f)
+        for i, c, e in cells
+        for j, d, f in cells
+        if (i == j and c < d) or (c == d and i < j)
+    )
+
+
+def _max_bad_column_by_cells(t):
+    width = t.outer[0] if t.outer else 0
+    for r in range(width, 0, -1):
+        counts = _content_from_column_by_cells(t, r)
+        if any(a < b for a, b in zip(counts, counts[1:])):
+            return r
+    return None
+
+
+def _tableaux_to_read():
+    # every semistandard filling up to size 6 with entries at most 4, and
+    # every filling with entries 1..3 of the shapes up to size 4
+    for k in range(7):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                yield from enumerate_ssyt(lam, mu, max_entry=4)
+                lengths = [p - (mu[i] if i < len(mu) else 0) for i, p in enumerate(lam)]
+                if k - sum(mu) <= 4:
+                    for entries in itertools.product((1, 2, 3), repeat=sum(lengths)):
+                        rows, at = [], 0
+                        for n in lengths:
+                            rows.append(entries[at : at + n])
+                            at += n
+                        yield Tableau(lam, mu, rows)
+
+
+def test_row_reads_match_the_cell_references():
+    semistandard = not_semistandard = 0
+    for t in _tableaux_to_read():
+        assert t.max_entry() == _max_entry_by_cells(t)
+        width = t.outer[0] if t.outer else 0
+        for col in range(width + 2):
+            assert t.content_from_column(col) == _content_from_column_by_cells(t, col), (t, col)
+        assert t.is_semistandard() == _is_semistandard_by_cells(t), t
+        assert _max_bad_column(t) == _max_bad_column_by_cells(t), t
+        semistandard += t.is_semistandard()
+        not_semistandard += not t.is_semistandard()
+    assert semistandard > 5000 and not_semistandard > 3000
+
+
+@pytest.fixture
+def fresh_memos():
+    # a mutation must not be read from, or left in, a memo
+    schurkit.clear_caches()
+    yield
+    schurkit.clear_caches()
+
+
+def test_lr_signed_fails_with_a_flipped_sign_in_the_content_memo(monkeypatch, fresh_memos):
+    sign = tableaux.perm_sign
+    monkeypatch.setattr(tableaux, "perm_sign", lambda perm: -sign(perm))
+    result = verification.run_suite("lr-signed", 4)
+    # every triple with a nonzero coefficient, and no involution fault:
+    # the pair signs flip with it
+    nonzero = sum(1 for triple in all_skew_triples(4) if lr_coefficient(*triple))
+    assert len(result.failures) == nonzero == 57
+    assert all(f.startswith("signed sum mismatch: ") for f in result.failures)
+
+
+def test_lr_signed_fails_without_the_row_sort_in_the_involution(monkeypatch):
+    monkeypatch.setattr(tableaux, "sorted", tuple, raising=False)
+    with pytest.raises(RuntimeError, match="involution produced a non-semistandard filling"):
+        verification.run_suite("lr-signed", 4)
