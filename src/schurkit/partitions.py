@@ -9,6 +9,7 @@ whose length is significant.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from ._memo import memo
@@ -289,6 +290,30 @@ def _subpartitions(lam: Partition) -> list[Partition]:
         for v in range(1, cap + 1):
             stack.append((prefix + (v,), row + 1))
     return sorted(out, key=term_key)
+
+
+def _dominated(lam: Partition) -> list[Partition]:
+    """The partitions of |lam| below lam in dominance, in canonical term
+    order.  A part is placed only while the prefix sum stays at or below
+    lam's, and such a part always exists until the size is reached, so the
+    walk visits no partition that is not kept."""
+    # trusted: a canonical partition
+    k = sum(lam)
+    bound = list(accumulate(lam))
+    out: list[Partition] = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        prefix, placed = stack.pop()
+        if placed == k:
+            out.append(prefix)
+            continue
+        row = len(prefix)
+        cap = (bound[row] if row < len(bound) else k) - placed
+        if prefix:
+            cap = min(cap, prefix[-1])
+        for v in range(1, cap + 1):
+            stack.append((prefix + (v,), placed + v))
+    return out
 
 
 def partition_count(k: int) -> int:

@@ -7,17 +7,21 @@ Littlewood-Richardson coefficients; the other bases route through s.  Basis
 changes are exact integer transforms computed one term at a time: h and e
 into s by Pieri's rule, s into m by counting tableau chains, s into h and e
 by expanding the Jacobi-Trudi determinant along its first column, m into s
-by reading the inverse Kostka row from that expansion, h and e into each
-other by Newton's relation, and h and e into m by counting matrices with
-fixed margins; m into h and e passes through s.  The whole-degree Kostka
-matrix (the Pieri columns, transposed) and its inverse stay public, built
-afresh on each call from the per-term memos; the tests hold each route to
-the tableau-chain count, to the permutation walk over the determinant, or
-to the route through s.
+by reading each inverse Kostka entry from that expansion at one coefficient,
+h and e into each other by Newton's relation, and h and e into m by
+counting matrices with fixed margins; m into h and e passes through s.  A
+row ranges over the partitions below one in dominance, walked directly.
+The whole-degree Kostka matrix (the Pieri columns, transposed) and its
+inverse stay public, built afresh on each call from the per-term memos;
+the tests hold each route to the tableau-chain count, to the permutation
+walk over the determinant, to the whole first-column expansion, to a plain
+listing of matrices, or to the route through s.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, groupby
+from math import factorial
 from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -26,7 +30,7 @@ from .partitions import (
     _compositions,
     _conjugate,
     _contains,
-    _dominates,
+    _dominated,
     _int,
     _nonneg,
     _trim,
@@ -131,10 +135,11 @@ def kostka_inverse(k: int) -> dict[Partition, dict[Partition, int]]:
     """Inverse Kostka matrix in degree k: row[mu][lam] gives the Schur
     expansion of the degree-k monomial function m_mu.
 
-    Row mu is the row of `_m_in_s`, read from the first-column expansion of
-    the Jacobi-Trudi determinants and copied into a new dict on every call,
-    so that a caller who mutates the matrix changes neither what `convert`
-    reads nor a later call's result.
+    Row mu is the row of `_m_in_s`, whose entry at lam is the h_mu
+    coefficient of the Jacobi-Trudi determinant of lam, read along its first
+    column without expanding it.  Each row is copied into a new dict on
+    every call, so that a caller who mutates the matrix changes neither
+    what `convert` reads nor a later call's result.
     """
     return {mu: dict(_m_in_s(mu)) for mu in partitions_of(k)}
 
@@ -164,16 +169,12 @@ def _h_in_s(mu: Partition) -> dict[Partition, int]:
 def _s_in_m(lam: Partition) -> dict[Partition, int]:
     """The monomial expansion {mu: K_{lam mu}} of s_lam, over mu below lam in
     dominance, by the memoised tableau-chain count."""
-    return {
-        mu: v
-        for mu in partitions_of(sum(lam))
-        if _dominates(lam, mu) and (v := _kostka_chains(lam, (), mu))
-    }
+    return {mu: v for mu in _dominated(lam) if (v := _kostka_chains(lam, (), mu))}
 
 
 def _merged(a: Partition, b: Partition) -> Partition:
     """The parts of a and of b sorted into one partition: the index of the
-    products h_a h_b and e_a e_b, or a multiset union of column sums."""
+    products h_a h_b and e_a e_b."""
     return tuple(sorted(a + b, reverse=True))
 
 
@@ -207,19 +208,47 @@ def _s_in_h(lam: Partition) -> dict[Partition, int]:
 
 
 @memo
+def _s_h_entry(lam: Partition, left: Partition) -> int:
+    """The h_left coefficient of s_lam, the inverse Kostka entry K^-1_{left lam}.
+
+    The first-column expansion of `_s_in_h`, read at one coefficient: the
+    row i term h_{lam_i - i + 1} s_(minor) holds h_left only when its factor
+    is a part of left, and then through the h_(left without that part)
+    coefficient of the minor (h_0 takes no part).  Memoised on (shape,
+    parts still to place), so the entries of one row share their minors,
+    and a pair whose first part or length already rules out dominance is
+    cut.
+    """
+    if not lam:
+        return 1  # sizes stay equal, so left is empty too
+    if left[0] < lam[0] or len(left) > len(lam):
+        return 0  # h_left is in s_lam only when left dominates lam
+    total = 0
+    for i, part in enumerate(lam):
+        index = part - i
+        if index < 0:
+            break
+        rest = left
+        if index:
+            if index not in left:
+                continue
+            at = left.index(index)
+            rest = left[:at] + left[at + 1 :]
+        v = _s_h_entry(tuple(p + 1 for p in lam[:i]) + lam[i + 1 :], rest)
+        total += -v if i % 2 else v
+    return total
+
+
+@memo
 def _m_in_s(mu: Partition) -> dict[Partition, int]:
     """The Schur expansion of m_mu, the row mu of the inverse Kostka matrix.
 
     The h-expansion of s_lam is the column lam of the same inverse (h_mu =
     sum K_{lam mu} s_lam, inverted), so the entry at lam is the h_mu
-    coefficient of s_lam, read from the memo of `_s_in_h`; it vanishes
-    unless lam is below mu in dominance.
+    coefficient of s_lam, read by `_s_h_entry` without expanding s_lam; it
+    vanishes unless lam is below mu in dominance.
     """
-    return {
-        lam: v
-        for lam in partitions_of(sum(mu))
-        if _dominates(mu, lam) and (v := _s_in_h(lam).get(mu))
-    }
+    return {lam: v for lam in _dominated(mu) if (v := _s_h_entry(lam, mu))}
 
 
 @memo
@@ -249,33 +278,59 @@ def _h_in_e(mu: Partition) -> dict[Partition, int]:
 
 
 @memo
+def _run_shares(c: int, m: int, most: int) -> dict[int, list[tuple[Partition, int]]]:
+    """The ways one row can take entries of at most `most` from m columns
+    that all have sum c, grouped by the amount taken: {amount: [(the column
+    sums left, largest first, ways)]}.  The columns are alike, so a multiset
+    of entries stands for its m! / prod(multiplicity!) arrangements."""
+    shares: dict[int, list[tuple[Partition, int]]] = {}
+    for taken in combinations_with_replacement(range(most + 1), m):
+        ways = factorial(m)
+        for t in set(taken):
+            ways //= factorial(taken.count(t))
+        shares.setdefault(sum(taken), []).append((tuple(c - t for t in taken), ways))
+    return shares
+
+
+@memo
 def _matrix_count(rows: Partition, cols: Partition, binary: bool) -> int:
     """The number of matrices with row sums rows and column sums cols (of
     equal total) whose entries are nonnegative integers, or only 0 and 1
     when binary.
 
-    The first row takes an entry from one column at a time.  Partial rows
-    that leave the same multiset of column sums and the same amount still
-    to place merge, and a branch whose amount left exceeds what the later
-    columns can take is cut, so every partial row left after the last
-    column is complete.  The count does not depend on the order of the
-    columns, so the other rows recurse on the sorted column sums left.
+    The last (smallest) row takes its entries first, from one run of equal
+    columns at a time (`_run_shares`), and the other rows recurse on the
+    column sums it leaves, so the largest row is the one left to take
+    everything.  A partial row is keyed by the column sums it leaves, in
+    column order, and by the amount still to place; a branch whose amount
+    left exceeds what the later runs can take is cut, so every partial row
+    left after the last run is complete.  The count does not depend on the
+    order of the columns, so the complete rows are sorted and merged once,
+    by the multiset of column sums they leave.
     """
     if len(rows) <= 1:
         # the last row takes all that is left, which must fit its entries
         return 1 if not binary or not cols or cols[0] == 1 else 0
-    cap = 1 if binary else rows[0]
-    room = [0] * (len(cols) + 1)  # room[j]: what columns j, j+1, ... can take
-    for j in range(len(cols) - 1, -1, -1):
-        room[j] = room[j + 1] + min(cols[j], cap)
-    partial = {((), rows[0]): 1}  # (column sums left, amount to place): ways
-    for j, c in enumerate(cols):
+    row = rows[-1]
+    cap = 1 if binary else row
+    runs = [(c, len(list(same))) for c, same in groupby(cols)]  # (column sum, columns)
+    room = [0] * (len(runs) + 1)  # room[j]: what runs j, j+1, ... can take
+    for j in range(len(runs) - 1, -1, -1):
+        room[j] = room[j + 1] + runs[j][1] * min(runs[j][0], cap)
+    partial = {((), row): 1}  # (column sums left, amount to place): ways
+    for j, (c, m) in enumerate(runs):
+        most = min(c, cap)
+        shares = _run_shares(c, m, most)
         partial = accumulate(
-            ((_merged(kept, (c - t,) if c > t else ()), todo - t), w)
+            ((kept + left, todo - amount), w * ways)
             for (kept, todo), w in partial.items()
-            for t in range(max(0, todo - room[j + 1]), min(c, cap, todo) + 1)
+            for amount in range(max(0, todo - room[j + 1]), min(m * most, todo) + 1)
+            for left, ways in shares[amount]
         )
-    return sum(w * _matrix_count(rows[1:], kept, binary) for (kept, _), w in partial.items())
+    complete = accumulate(
+        (_trim(tuple(sorted(kept, reverse=True))), w) for (kept, _), w in partial.items()
+    )
+    return sum(w * _matrix_count(rows[:-1], kept, binary) for kept, w in complete.items())
 
 
 def _in_m(mu: Partition, binary: bool) -> dict[Partition, int]:
@@ -284,12 +339,8 @@ def _in_m(mu: Partition, binary: bool) -> dict[Partition, int]:
     with nonnegative integer entries for h and 0/1 entries for e (Stanley,
     Enumerative Combinatorics 2, Props. 7.4.1 and 7.5.1).  A 0/1 matrix
     exists only for kappa below the conjugate of mu in dominance."""
-    top = _conjugate(mu) if binary else None
-    return {
-        kappa: v
-        for kappa in partitions_of(sum(mu))
-        if (top is None or _dominates(top, kappa)) and (v := _matrix_count(mu, kappa, binary))
-    }
+    top = _conjugate(mu) if binary else _trim((sum(mu),))
+    return {kappa: v for kappa in _dominated(top) if (v := _matrix_count(mu, kappa, binary))}
 
 
 def _expand(f: SymFunc, target: str, image) -> SymFunc:

@@ -389,7 +389,9 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     rho = _staircase(ell)
     base = pad(nu, ell)
     expected = tuple(base[w[i]] + rho[w[i]] - rho[i] for i in range(ell))
-    if tab.content(ell) != expected:
+    # the content runs to the largest entry, so an entry above ell makes the
+    # pair inconsistent here rather than an error of content(ell)
+    if tab.content() != _trim(expected):
         raise ValueError("pair is inconsistent: content does not match w")
     offsets = [tab.inner[i] if i < len(tab.inner) else 0 for i in range(len(tab.rows))]
     columns: dict[int, list[int]] = {}

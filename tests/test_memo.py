@@ -10,6 +10,8 @@ from schurkit.tableaux import kostka, lr_coefficient, signed_lr_sum
 
 
 def test_one_clear_empties_every_memo(capsys):
+    # every pair of bases: m -> s fills the inverse Kostka entries
+    # (_s_h_entry), h -> m and e -> m the matrix counts and the run shares
     for a in BASES:
         for b in BASES:
             convert(SymFunc.element(a, (2, 1)), b)
@@ -25,6 +27,8 @@ def test_one_clear_empties_every_memo(capsys):
     eval_h_monomial((2, 1), 3)
     partition_count(10)
     assert cli.main(["mult", "s[1]*s[1]"]) == 0
+    # a malformed argv is left to argparse, whose parser is a memo too
+    assert cli.main(["mult"]) == 2
     capsys.readouterr()
     assert _memo._registry
     empty = [f.__qualname__ for f in _memo._registry if not f.cache_info().currsize]

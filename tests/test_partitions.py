@@ -215,6 +215,17 @@ def test_partition_count_rejects_non_int(bad):
         partition_count(bad)
 
 
+def test_dominated_walks_the_dominance_filter():
+    # the trusted walk below lam against filtering every partition of |lam|
+    # with the public dominance test, order included
+    from schurkit.partitions import _dominated
+
+    for k in range(13):
+        parts = partitions_of(k)
+        for lam in parts:
+            assert _dominated(lam) == [mu for mu in parts if dominates(lam, mu)], lam
+
+
 def test_subpartitions():
     assert subpartitions((2, 1)) == [(), (1,), (2,), (1, 1), (2, 1)]
     assert subpartitions(()) == [()]

@@ -330,6 +330,67 @@ def test_convert_m_to_s_is_inverse_kostka_row():
             assert convert(SymFunc.element("m", mu), "s").terms == inverse[mu], mu
 
 
+def _entry_from_whole_expansion(lam, mu):
+    """The inverse Kostka entry K^-1_{mu lam} as the m -> s route read it
+    before: the h_mu coefficient of the whole h-expansion of s_lam."""
+    from schurkit.ring import _s_in_h
+
+    return _s_in_h(lam).get(mu, 0)
+
+
+def test_inverse_kostka_entries_match_the_whole_expansion():
+    # the memo on (shape, parts left) against the other side, the full
+    # first-column expansion of s_lam in h: every pair of one degree up to
+    # 10, and every whole row at degree 12
+    from schurkit.ring import _m_in_s, _s_h_entry
+
+    for k in range(11):
+        parts = partitions_of(k)
+        for lam in parts:
+            for mu in parts:
+                assert _s_h_entry(lam, mu) == _entry_from_whole_expansion(lam, mu), (lam, mu)
+    parts = partitions_of(12)
+    for mu in parts:
+        row = {lam: v for lam in parts if (v := _entry_from_whole_expansion(lam, mu))}
+        assert _m_in_s(mu) == row, mu
+
+
+def test_m_to_s_expands_no_schur_function_in_h(monkeypatch):
+    from schurkit import ring
+
+    def boom(*args):
+        raise AssertionError("m -> s expanded a Schur function in h")
+
+    schurkit.clear_caches()
+    monkeypatch.setattr(ring, "_s_in_h", boom)
+    pool = [mu for k in range(9) for mu in partitions_of(k)]
+    pool += [(20,), (10, 10), (5, 5, 4, 3, 2, 1), (1,) * 20]
+    rows = {mu: convert(SymFunc.element("m", mu), "s") for mu in pool}
+    monkeypatch.undo()
+    for mu, g in rows.items():
+        assert g.terms == {
+            lam: v for lam in partitions_of(sum(mu)) if (v := _entry_from_whole_expansion(lam, mu))
+        }, mu
+    schurkit.clear_caches()  # the degree-20 expansions hold about 28 MB
+
+
+def test_m_to_s_stays_small_in_memory():
+    # the rows of degree 20 hold a few hundred entries; expanding every s_lam
+    # below them in h, as the route once did, peaked at 26-29 MB
+    import tracemalloc
+
+    for mu in ((20,), (10, 10), (6, 5, 4, 3, 2)):
+        schurkit.clear_caches()
+        tracemalloc.start()
+        try:
+            convert(SymFunc.element("m", mu), "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (mu, peak)
+    schurkit.clear_caches()
+
+
 def test_kostka_matrix_matches_chain_counts():
     # the Pieri columns, transposed, against the tableau-chain count
     for k in range(13):
@@ -417,6 +478,46 @@ def test_matrix_counts_match_route_through_s():
             for a in ("h", "e"):
                 f = SymFunc.element(a, mu)
                 assert convert(f, "m") == _matrix_convert(f, "m"), (a, mu)
+
+
+def _fillings(total, caps, binary):
+    """Every row of entries with the given sum, each entry at most its cap
+    (and 0 or 1 when binary), in column order."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(caps[0], 1 if binary else total, total) + 1):
+        for rest in _fillings(total - first, caps[1:], binary):
+            yield (first,) + rest
+
+
+def _brute_matrix_count(rows, cols, binary):
+    """Count the matrices with these margins by listing them row by row."""
+    if not rows:
+        return 1 if not any(cols) else 0
+    return sum(
+        _brute_matrix_count(rows[1:], tuple(c - e for c, e in zip(cols, row)), binary)
+        for row in _fillings(rows[0], cols, binary)
+    )
+
+
+def test_matrix_counts_match_brute_force():
+    # the run-by-run count against the other side, a plain listing of every
+    # N- and 0/1-matrix with margins (mu, kappa), sharing no code with it
+    from schurkit.ring import _matrix_count
+
+    for k in range(8):
+        parts = partitions_of(k)
+        for mu in parts:
+            for binary, a in ((False, "h"), (True, "e")):
+                row = {}
+                for kappa in parts:
+                    count = _brute_matrix_count(mu, kappa, binary)
+                    assert _matrix_count(mu, kappa, binary) == count, (mu, kappa, binary)
+                    if count:
+                        row[kappa] = count
+                assert convert(SymFunc.element(a, mu), "m").terms == row, (a, mu)
 
 
 def test_matrix_counts_closed_forms():

@@ -50,6 +50,9 @@ from schurkit.ring import (
     skew_schur,
 )
 from schurkit.tableaux import (
+    SignedPair,
+    Tableau,
+    bz_involution,
     enumerate_ssyt,
     kostka,
     lr_tableaux,
@@ -242,6 +245,10 @@ RAISES = [
     (lambda: compositions_of(2, 1.0), TypeError, "length must be int, got 1.0"),
     (lambda: staircase(True), TypeError, "staircase length must be int, got True"),
     (lambda: staircase(-1), ValueError, "staircase length must be nonnegative"),
+    # an entry above len(w) is an inconsistent pair, told as such rather
+    # than by Tableau.content refusing to cut the content at len(w)
+    (lambda: bz_involution(SignedPair((0,), Tableau((2,), (), [(1, 2)])), (2,)), ValueError,
+     "pair is inconsistent: content does not match w"),
 ]
 
 
