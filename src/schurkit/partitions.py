@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
+from operator import ge
 from typing import Iterator, Optional, Sequence
 
 from ._memo import memo
 
 Partition = tuple[int, ...]
 
+_INT_ONLY = {int}
+
 
 def _ints(seq: Sequence[int], what: str) -> tuple[int, ...]:
     """seq as a tuple of exact integers; anything else (float, bool) is a TypeError."""
     out = tuple(seq)
-    if any(type(x) is not int for x in out):
+    # one C-level pass: the set of entry types
+    if not set(map(type, out)) <= _INT_ONLY:
         raise TypeError(f"{what} must be int, got {out!r}")
     return out
 
@@ -49,9 +53,8 @@ def _trim(parts: tuple[int, ...]) -> tuple[int, ...]:
 def normalize(seq: Sequence[int]) -> Partition:
     """Canonical form of a partition: trailing zeros stripped; rejects non-partitions."""
     parts = _trim(_ints(seq, "partition parts"))
-    if any(p <= 0 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
+    # weakly decreasing parts are all positive when the last one is
+    if parts and (parts[-1] <= 0 or not all(map(ge, parts, parts[1:]))):
         raise ValueError(f"not a partition: {tuple(seq)!r}")
     return parts
 

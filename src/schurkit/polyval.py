@@ -6,9 +6,11 @@ coefficients.  Exponent vectors are dense tuples of fixed length n inside a
 sparse term map.  Three places pack them into single integers, a fixed
 number of bytes per variable with x_1 most significant (Kronecker
 substitution, `_pack`): a product, the tableau walk behind eval_s_tableau,
-and the h-product chain.  The walk and the chain keep their terms packed,
-and jacobi_trudi_eval_check compares the two packed, at a width that holds
-every exponent up to |lam|; every value the module returns carries tuples.
+the h-product chain, and the walk of an h side at its dominant monomials.
+The walks and the chain keep their terms packed, and
+jacobi_trudi_eval_check compares the tableau walk with the dominant h walk
+packed, at a width that holds every exponent up to |lam|; every value the
+module returns carries tuples.
 A product over disjoint alphabets joins exponent vectors end to end
 instead: the other identity checks sum such products, and plain linear
 combinations, in one pass.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
+from math import factorial
 from operator import mul, sub
 from typing import Sequence
 
@@ -40,7 +43,7 @@ from .partitions import (
 )
 from ._memo import memo
 from ._sparse import SparseCombination, accumulate
-from .raising import _staircase, _straighten, jacobi_trudi_expand, perm_sign
+from .raising import _perm_sign, _staircase, _straighten, jacobi_trudi_expand
 
 
 class SparsePoly(SparseCombination):
@@ -346,7 +349,7 @@ def alternant(alpha: Sequence[int], n: int) -> SparsePoly:
     return SparsePoly._trusted(
         n,
         accumulate(
-            (tuple(padded[perm[i]] for i in range(n)), perm_sign(perm))
+            (tuple(padded[perm[i]] for i in range(n)), _perm_sign(perm))
             for perm in itertools.permutations(range(n))
         ),
     )
@@ -409,16 +412,103 @@ def reduction_check(lam: Sequence[int], n: int) -> bool:
 def jacobi_trudi_eval_check(lam: Sequence[int], n: int) -> bool:
     """Check the determinant expansion against the tableau polynomial: the
     signed h-index expansion, evaluated as products of complete functions,
-    reproduces the tableau sum exactly."""
+    reproduces the tableau sum exactly.
+
+    Every h-product is symmetric, so the h side is read at its dominant
+    monomials only (weakly decreasing exponents, `_h_dominant`).  The two
+    sides are equal exactly when the tableau walk has as many terms as the
+    orbits of the dominant keys hold, and each walked term's coefficient is
+    the h side's at its sorted exponents: that also proves the tableau
+    polynomial symmetric.
+    """
     lam = normalize(lam)
     SparsePoly._check_head(n)
     # Both sides stay packed at the width of the walk, which holds every
-    # exponent up to |lam|: no sum can carry into the next variable.  The
-    # h-indices come sorted descending, as _h_packed keys them.
+    # exponent up to |lam|: no sum can carry into the next variable.
     width = _byte_width(sum(lam))
-    terms = jacobi_trudi_expand(lam).items()
-    total = accumulate((k, c * v) for beta, c in terms for k, v in _h_packed(beta, n, width).items())
-    return total == _s_packed(lam, (), n)
+    dominant = _h_dominant(jacobi_trudi_expand(lam), n, width)
+    walk = _s_packed(lam, (), n)
+    # Each walked term meets its dominant key's coefficient, so the walk
+    # lies inside the h side's support; equal sizes make the supports equal.
+    if len(walk) != sum(_orbit_size(_unpack(k, width, n)) for k in dominant):
+        return False
+    get = dominant.get
+    return all(
+        get(_pack(sorted(_unpack(k, width, n), reverse=True), width)) == c for k, c in walk.items()
+    )
+
+
+def _orbit_size(exps: tuple[int, ...]) -> int:
+    # the distinct rearrangements of exps: n! over the product of m! for
+    # the multiplicity m of each value
+    out = factorial(len(exps))
+    for e in set(exps):
+        out //= factorial(exps.count(e))
+    return out
+
+
+def _h_dominant(terms: dict[tuple[int, ...], int], n: int, width: int) -> dict[int, int]:
+    """The sum of c * h_beta(x_1..x_n) over the (beta, c) of terms, at its
+    monomials with weakly decreasing exponents, packed as by _pack at width;
+    zero coefficients dropped.  Trusted: each beta sorted descending, all of
+    one size that width holds.
+
+    One merged walk over the variables, x_1 first: a state is the multiset
+    gamma of boxes the h factors still hold and the exponents so far.  Each
+    variable but x_n takes a step from gamma (`_h_peel`) of at most the
+    previous step, so only dominant exponent vectors are reached, and at
+    least |gamma| over the variables left, so the later steps can empty
+    gamma without passing it; x_n takes what is left.  States that meet
+    are merged and those that cancel are dropped.
+    """
+    if not n:
+        c = terms.get((), 0)
+        return {0: c} if c else {}
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    states = {(beta, 0): c for beta, c in terms.items()}
+    for later in range(n - 1, 0, -1):
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        get = nxt.get
+        for (gamma, e), c in states.items():
+            size = sum(gamma)
+            least = -(-size // (later + 1))
+            most = e & mask if later < n - 1 else size
+            for step, rest, ways in _h_peel(gamma, min(most, size)):
+                if step < least:
+                    break
+                key = (rest, e << shift | step)
+                nxt[key] = get(key, 0) + c * ways
+        states = {key: c for key, c in nxt.items() if c}
+    return accumulate((e << shift | sum(gamma), c) for (gamma, e), c in states.items())
+
+
+@memo
+def _h_peel(gamma: tuple[int, ...], most: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The ways one variable takes boxes from h_gamma, each factor h_g
+    giving t <= g of them: (step, rest, ways) over the totals step <= most
+    and the multisets rest of what is left (sorted descending, zeros
+    dropped), ways counting the vectors t.  Step descending.
+
+    Peeled factor by factor, each later suffix memoised with its cap, so
+    the cost follows the merged entries and not the product of the g + 1
+    choices: sixteen h_1 take 17 entries, not 2^16 vectors.  Trusted: gamma
+    sorted descending, 0 <= most <= |gamma|.
+    """
+    if not gamma:
+        return ((0, (), 1),)
+    first, later = gamma[0], gamma[1:]
+    room = sum(later)
+    acc: dict[tuple[int, tuple[int, ...]], int] = {}
+    get = acc.get
+    for t in range(min(first, most) + 1):
+        left = first - t
+        for step, rest, ways in _h_peel(later, min(most - t, room)):
+            if left:
+                rest = tuple(sorted(rest + (left,), reverse=True))
+            key = (step + t, rest)
+            acc[key] = get(key, 0) + ways
+    return tuple(sorted(((step, rest, ways) for (step, rest), ways in acc.items()), reverse=True))
 
 
 def variable_split_check(lam: Sequence[int], a: int, b: int) -> bool:

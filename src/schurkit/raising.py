@@ -36,8 +36,17 @@ def _staircase(length: int) -> tuple[int, ...]:
 
 
 def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given in one-line form over 0..n-1: each cycle
-    of even length flips it, so one pass over the cycles suffices."""
+    """Sign of a permutation given in one-line form over 0..n-1.  Checks
+    that perm is one, then runs the trusted `_perm_sign`."""
+    perm = _ints(perm, "permutation")
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
+    return _perm_sign(perm)
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    # trusted: a permutation of 0..n-1.  Each cycle of even length flips
+    # the sign, so one pass over the cycles suffices.
     sign, seen = 1, [False] * len(perm)
     for start in range(len(perm)):
         i, length = start, 0
@@ -84,7 +93,7 @@ def _straighten(alpha: tuple[int, ...]) -> SignedPartition:
         return ZERO
     order = sorted(range(ell), key=shifted.__getitem__, reverse=True)
     mu = tuple(shifted[k] - ell + i for i, k in enumerate(order, 1))
-    return SignedPartition(perm_sign(order), _trim(mu))
+    return SignedPartition(_perm_sign(order), _trim(mu))
 
 
 def adjacent_swap_identity_check(
@@ -142,6 +151,6 @@ def jacobi_trudi_expand(
     """
     alpha, mu = _ints(alpha, "index vector"), _ints(mu, "inner shape")
     return accumulate(
-        (tuple(sorted((v for v in idx if v), reverse=True)), perm_sign(perm))
+        (tuple(sorted((v for v in idx if v), reverse=True)), _perm_sign(perm))
         for perm, idx in _forced_contents(alpha, mu)
     )

@@ -16,7 +16,7 @@ independent of it, as its checks.
 
 from __future__ import annotations
 
-from operator import lt
+from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from ._memo import memo
@@ -33,7 +33,7 @@ from .partitions import (
     normalize,
     pad,
 )
-from .raising import _forced_contents, _staircase, perm_sign
+from .raising import _forced_contents, _perm_sign, perm_sign
 
 
 class Tableau:
@@ -244,16 +244,23 @@ def is_lr_tableau(tab: Tableau) -> bool:
     return _max_bad_column(tab) is None
 
 
-def _is_weakly_decreasing(counts: Sequence[int]) -> bool:
-    return not any(map(lt, counts, counts[1:]))
-
-
 def _max_bad_column(tab: Tableau) -> Optional[int]:
-    """Largest column r whose suffix content fails to be a partition."""
-    width = tab.outer[0] if tab.outer else 0
-    for r in range(width, 0, -1):
-        if not _is_weakly_decreasing(tab.content_from_column(r)):
-            return r
+    """Largest column r whose suffix content fails to be a partition.
+
+    One pass from the right over the columns (each padded with zeros where
+    the shape has no box): while the suffix contents so far are partitions,
+    adding column r can only break the pairs (e - 1, e) of its entries e."""
+    padded = [(0,) * offset + row for offset, row in zip(pad(tab.inner, len(tab.rows)), tab.rows)]
+    columns = list(zip_longest(*padded, fillvalue=0))
+    counts: dict[int, int] = {}
+    get = counts.get
+    for r in range(len(columns), 0, -1):
+        column = columns[r - 1]
+        for e in column:
+            counts[e] = get(e, 0) + 1
+        for e in column:
+            if e > 1 and get(e - 1, 0) < counts[e]:
+                return r
     return None
 
 
@@ -364,7 +371,7 @@ def signed_lr_sum(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> i
 def _signed_contents(nu: Partition) -> tuple[tuple[int, tuple[int, ...]], ...]:
     # (sign(w), forced content without trailing zeros) for each w of
     # _forced_contents(nu): what signed_lr_sum reads for every lam and mu
-    return tuple((perm_sign(perm), _trim(forced)) for perm, forced in _forced_contents(nu))
+    return tuple((_perm_sign(perm), _trim(forced)) for perm, forced in _forced_contents(nu))
 
 
 def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
@@ -379,42 +386,49 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
 
     The pair must be consistent (the content of the filling is the forced
     content of w) and bad.  The columns are built once, and one pass from
-    the right finds r and its suffix content.  The flipped filling keeps
-    the shape and every row length, so it is built without the
-    constructor's checks, then revalidated with is_semistandard.
+    the right finds r and j (adding column r can only break the pairs
+    (e - 1, e) of its entries e) and ends with the content of the filling.
+    The flipped filling keeps the shape and every row length, so it is
+    built without the constructor's checks, then revalidated with
+    is_semistandard.
     """
     w, tab = pair
     nu = normalize(nu)
-    ell = len(w)
-    rho = _staircase(ell)
-    base = pad(nu, ell)
-    expected = tuple(base[w[i]] + rho[w[i]] - rho[i] for i in range(ell))
-    # the content runs to the largest entry, so an entry above ell makes the
-    # pair inconsistent here rather than an error of content(ell)
-    if tab.content() != _trim(expected):
+    base = pad(nu, len(w))
+    # the forced content base[w_i] + rho[w_i] - rho[i], rho the staircase
+    # (rho[k] = len(w) - 1 - k)
+    expected = _trim(tuple([base[v] - v + i for i, v in enumerate(w)]))
+    offsets = pad(tab.inner, len(tab.rows))
+    padded = [(0,) * offset + row for offset, row in zip(offsets, tab.rows)]
+    columns = list(zip_longest(*padded, fillvalue=0))
+    # r is the first column from the right that breaks a pair (e - 1, e)
+    # of its entries e, j the least such e - 1; the pass goes on to the
+    # first column, so that counts ends as the content of the filling
+    counts: dict[int, int] = {}
+    get = counts.get
+    r = j = 0
+    for col in range(len(columns), 0, -1):
+        column = columns[col - 1]
+        for e in column:
+            counts[e] = get(e, 0) + 1
+        if not r and (broken := [e for e in column if e > 1 and get(e - 1, 0) < counts[e]]):
+            r, j = col, min(broken) - 1
+    # an entry above len(w) makes the content longer than the forced one
+    content = tuple([get(e, 0) for e in range(1, max(counts, default=0) + 1)])
+    if content != expected:
         raise ValueError("pair is inconsistent: content does not match w")
-    offsets = [tab.inner[i] if i < len(tab.inner) else 0 for i in range(len(tab.rows))]
-    columns: dict[int, list[int]] = {}
-    for offset, row in zip(offsets, tab.rows):
-        for col, e in enumerate(row, offset + 1):
-            columns.setdefault(col, []).append(e)
-    # entries are at most ell, and zeros past the largest do not change
-    # where counts first rises
-    counts = [0] * ell
-    for r in range(tab.outer[0] if tab.outer else 0, 0, -1):
-        for e in columns.get(r, ()):
-            counts[e - 1] += 1
-        if not _is_weakly_decreasing(counts):
-            break
-    else:
+    if not r:
         raise ValueError("pair is not bad: involution undefined")
-    j = next(i + 1 for i in range(ell - 1) if counts[i] < counts[i + 1])
     new_rows = []
     for offset, row in zip(offsets, tab.rows):
+        # flip the free entries left of column r; a row without j or j + 1
+        # stays as it is
+        if j not in row and j + 1 not in row:
+            new_rows.append(row)
+            continue
         vals = list(row)
-        # the entries left of column r
         for k in range(min(len(vals), r - offset - 1)):
-            column = columns[offset + k + 1]
+            column = columns[offset + k]
             if vals[k] == j and j + 1 not in column:
                 vals[k] = j + 1
             elif vals[k] == j + 1 and j not in column:

@@ -4,7 +4,13 @@ import pkgutil
 import schurkit
 from schurkit import _memo, cli, polyval, ring
 from schurkit.partitions import partition_count
-from schurkit.polyval import eval_e, eval_h, eval_h_monomial, eval_s_tableau
+from schurkit.polyval import (
+    eval_e,
+    eval_h,
+    eval_h_monomial,
+    eval_s_tableau,
+    jacobi_trudi_eval_check,
+)
 from schurkit.ring import BASES, SymFunc, convert, kostka_inverse, kostka_matrix, multiply
 from schurkit.tableaux import kostka, lr_coefficient, signed_lr_sum
 
@@ -25,6 +31,8 @@ def test_one_clear_empties_every_memo(capsys):
     eval_h(2, 3)
     eval_e(2, 3)
     eval_h_monomial((2, 1), 3)
+    # the h side of the Jacobi-Trudi check fills the peel memo
+    jacobi_trudi_eval_check((2, 1), 3)
     partition_count(10)
     assert cli.main(["mult", "s[1]*s[1]"]) == 0
     # a malformed argv is left to argparse, whose parser is a memo too

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import pickle
 from operator import add
 
@@ -470,7 +471,61 @@ def test_packed_jacobi_trudi_check_matches_the_tuple_route():
                 assert jacobi_trudi_eval_check(lam, n) is _jacobi_trudi_by_joined_sum(lam, n) is True
 
 
-@pytest.mark.parametrize("fault", ["flip one determinant coefficient", "drop one tableau term"])
+def _is_dominant(exps):
+    return all(a >= b for a, b in zip(exps, exps[1:]))
+
+
+def test_dominant_h_side_matches_the_full_h_products():
+    # the slow side: every h-product multiplied out by _h_packed, summed,
+    # and read at its weakly decreasing exponents; single products and the
+    # Jacobi-Trudi sums, where most terms cancel
+    try:
+        for k in range(8):
+            width = polyval._byte_width(k)
+            for lam in partitions_of(k):
+                for terms in ({lam: 1}, jacobi_trudi_expand(lam)):
+                    for n in range(8):
+                        full = accumulate(
+                            (e, c * v)
+                            for beta, c in terms.items()
+                            for e, v in polyval._h_packed(beta, n, width).items()
+                        )
+                        dominant = {
+                            e: c
+                            for e, c in full.items()
+                            if _is_dominant(polyval._unpack(e, width, n))
+                        }
+                        assert polyval._h_dominant(terms, n, width) == dominant, (terms, n)
+    finally:
+        schurkit.clear_caches()
+
+
+def test_h_peel_merges_the_factors_of_sixteen_parts():
+    # 2^16 ways to take at most one box from each h_1 merge into one entry
+    # per step, and the memo keeps one entry per suffix and cap: a count
+    # of work, polynomial in the number of parts
+    schurkit.clear_caches()
+    try:
+        gamma = (1,) * 16
+        peel = polyval._h_peel(gamma, 16)
+        assert peel == tuple((s, (1,) * (16 - s), math.comb(16, s)) for s in range(16, -1, -1))
+        assert polyval._h_peel.cache_info().currsize == 17
+        assert len(polyval._h_peel(gamma, 8)) == 9
+        assert polyval._h_peel.cache_info().currsize <= 17 * 17
+        mixed = (2,) * 8 + (1,) * 8
+        peel = polyval._h_peel(mixed, 24)
+        assert sum(ways for *_, ways in peel) == 3**8 * 2**8
+        # what is left is keyed as a multiset, so equal ones merge
+        assert all(list(rest) == sorted(rest, reverse=True) for _, rest, _ in peel)
+        assert polyval._h_peel.cache_info().currsize <= 2 * 17 * 25
+    finally:
+        schurkit.clear_caches()
+
+
+FAULTS = ["flip one determinant coefficient", "drop one tableau term", "tableau side not symmetric"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 def test_jacobi_trudi_eval_check_catches_a_fault(monkeypatch, fault):
     expand, walk = polyval.jacobi_trudi_expand, polyval._s_packed
 
@@ -484,12 +539,31 @@ def test_jacobi_trudi_eval_check_catches_a_fault(monkeypatch, fault):
         del terms[max(terms)]
         return terms
 
+    def unsymmetric(lam, mu, n):
+        # +1 and -1 on two rearrangements of one non-dominant exponent
+        # vector: the term count and every dominant coefficient stay
+        terms = dict(walk(lam, mu, n))
+        width = polyval._byte_width(sum(lam) - sum(mu))
+        orbits = {}
+        for e in sorted(terms):
+            exps = polyval._unpack(e, width, n)
+            if not _is_dominant(exps):
+                orbits.setdefault(tuple(sorted(exps)), []).append(e)
+        a, b = next(keys for keys in orbits.values() if len(keys) > 1)[:2]
+        terms[a] += 1
+        terms[b] -= 1
+        return terms
+
+    shapes = [lam for k in range(7) for lam in partitions_of(k) if len(lam) <= 4]
     if fault == "flip one determinant coefficient":
         monkeypatch.setattr(polyval, "jacobi_trudi_expand", flipped)
-    else:
+    elif fault == "drop one tableau term":
         monkeypatch.setattr(polyval, "_s_packed", dropped)
+    else:
+        monkeypatch.setattr(polyval, "_s_packed", unsymmetric)
+        # the two shapes whose one term in 4 variables is dominant
+        shapes = [lam for lam in shapes if lam not in ((), (1, 1, 1, 1))]
     try:
-        shapes = [lam for k in range(7) for lam in partitions_of(k) if len(lam) <= 4]
         assert not any(jacobi_trudi_eval_check(lam, 4) for lam in shapes)
     finally:
         # the memo of _eval_s may have read the faulty walk

@@ -18,6 +18,7 @@ from schurkit.raising import (
     straighten,
 )
 from schurkit.ring import SymFunc, convert
+from schurkit.tableaux import SignedPair, Tableau
 
 int_vectors = st.lists(st.integers(min_value=-3, max_value=6), min_size=0, max_size=5).map(tuple)
 
@@ -41,6 +42,19 @@ def test_perm_sign_matches_inversion_count():
         for perm in itertools.permutations(range(n)):
             inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
             assert perm_sign(perm) == (-1) ** inversions, perm
+
+
+def test_perm_sign_rejects_what_is_not_a_permutation():
+    # a repeat, an entry out of range, a gap; SignedPair.sign reads the same
+    for perm in [(0, 0), (1, 1), (5,), (1, 2), (-1, 0), (0, 2, 1, 4)]:
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\."):
+            perm_sign(perm)
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\."):
+            SignedPair(perm, Tableau((1,), (), [(1,)])).sign
+    with pytest.raises(TypeError, match="permutation must be int"):
+        perm_sign((0.0, 1))
+    with pytest.raises(TypeError, match="permutation must be int"):
+        perm_sign((True, 0))
 
 
 def test_apply_raising_examples():

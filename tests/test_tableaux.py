@@ -237,6 +237,10 @@ def test_bz_involution_rejects_inconsistent_pairs():
     mismatched = SignedPair((0, 1), Tableau((2,), (), [(1, 1)]))
     with pytest.raises(ValueError):
         bz_involution(mismatched, (1, 1))
+    # a bad filling whose content (1, 2) has the length of the forced (2, 1)
+    swapped = SignedPair((0, 1), Tableau((3,), (), [(1, 2, 2)]))
+    with pytest.raises(ValueError, match="pair is inconsistent: content does not match w"):
+        bz_involution(swapped, (2, 1))
 
 
 def test_bz_involution_properties():
@@ -363,6 +367,52 @@ def test_row_reads_match_the_cell_references():
     assert semistandard > 5000 and not_semistandard > 3000
 
 
+# The per-column route: each column's suffix content rebuilt by
+# content_from_column, and each column read from cells().
+
+
+def _max_bad_column_by_columns(t):
+    width = t.outer[0] if t.outer else 0
+    for r in range(width, 0, -1):
+        counts = t.content_from_column(r)
+        if any(a < b for a, b in zip(counts, counts[1:])):
+            return r
+    return None
+
+
+def _bz_involution_by_columns(pair):
+    w, tab = pair
+    r = _max_bad_column_by_columns(tab)
+    counts = tab.content_from_column(r)
+    j = next(i + 1 for i in range(len(counts) - 1) if counts[i] < counts[i + 1])
+    rows = []
+    for i, row in enumerate(tab.rows):
+        offset = tab.inner[i] if i < len(tab.inner) else 0
+        vals = list(row)
+        for k in range(min(len(vals), r - offset - 1)):
+            column = [e for _, c, e in tab.cells() if c == offset + k + 1]
+            if vals[k] == j and j + 1 not in column:
+                vals[k] = j + 1
+            elif vals[k] == j + 1 and j not in column:
+                vals[k] = j
+        rows.append(sorted(vals))
+    w = list(w)
+    w[j - 1], w[j] = w[j], w[j - 1]
+    return SignedPair(tuple(w), Tableau(tab.outer, tab.inner, rows))
+
+
+def test_column_passes_match_the_per_column_route():
+    bad = 0
+    for lam, mu, nu in verification._lr_triples(6):
+        for pair in signed_lr_pairs(lam, mu, nu):
+            r = _max_bad_column(pair.tableau)
+            assert r == _max_bad_column_by_columns(pair.tableau), pair
+            if r is not None:
+                bad += 1
+                assert bz_involution(pair, nu) == _bz_involution_by_columns(pair), pair
+    assert bad > 1000
+
+
 @pytest.fixture
 def fresh_memos():
     # a mutation must not be read from, or left in, a memo
@@ -372,11 +422,12 @@ def fresh_memos():
 
 
 def test_lr_signed_fails_with_a_flipped_sign_in_the_content_memo(monkeypatch, fresh_memos):
-    sign = tableaux.perm_sign
-    monkeypatch.setattr(tableaux, "perm_sign", lambda perm: -sign(perm))
+    # the content memo reads the trusted sign; SignedPair.sign, which the
+    # involution checks read, goes through the public perm_sign
+    sign = tableaux._perm_sign
+    monkeypatch.setattr(tableaux, "_perm_sign", lambda perm: -sign(perm))
     result = verification.run_suite("lr-signed", 4)
-    # every triple with a nonzero coefficient, and no involution fault:
-    # the pair signs flip with it
+    # every triple with a nonzero coefficient, and no involution fault
     nonzero = sum(1 for triple in all_skew_triples(4) if lr_coefficient(*triple))
     assert len(result.failures) == nonzero == 57
     assert all(f.startswith("signed sum mismatch: ") for f in result.failures)
