@@ -164,12 +164,21 @@ def horizontal_strips_within(
     base, bound = normalize(base), normalize(bound)
     if not _contains(base, bound):
         return []
-    return _strips(base, bound, size)
+    return list(_strips(base, bound, size))
 
 
-def _strips(base: Partition, bound: Partition, size: Optional[int]) -> list[Partition]:
+# Pieri, the Kostka chains, the LR fillings and the tableau polynomials all
+# walk strips, and a verify sweep asks for each (base, bound, size) about ten
+# times.  The bound keeps a long process's memo small: one product at the
+# degree cap can ask for more than 10,000 distinct keys.
+_STRIP_MEMO_SIZE = 4096
+
+
+@memo(maxsize=_STRIP_MEMO_SIZE)
+def _strips(base: Partition, bound: Partition, size: Optional[int]) -> tuple[Partition, ...]:
     # trusted: canonical partitions with base inside bound.  A strip over
     # base ends by row len(base) + 1, and only that row can come out 0.
+    # The tuple is shared by every caller; the public wrappers copy it.
     rows = min(len(bound), len(base) + 1)
     out: list[Partition] = []
     # explicit stack; pushing values low..high makes the DFS emit larger
@@ -187,7 +196,7 @@ def _strips(base: Partition, bound: Partition, size: Optional[int]) -> list[Part
             high = min(high, low + size - used)
         for v in range(low, high + 1):
             stack.append((row + 1, used + v - low, prefix + (v,)))
-    return out if size is not None else sorted(out, key=term_key)
+    return tuple(out) if size is not None else tuple(sorted(out, key=term_key))
 
 
 def _strip_chains(
@@ -219,10 +228,10 @@ def horizontal_strip_extensions(
     lam: Sequence[int], p: int, max_len: Optional[int] = None
 ) -> list[Partition]:
     """All mu with lam <= mu and mu/lam a horizontal p-strip, canonical order."""
-    return _strip_extensions(normalize(lam), _nonneg(p, "strip size"), max_len)
+    return list(_strip_extensions(normalize(lam), _nonneg(p, "strip size"), max_len))
 
 
-def _strip_extensions(lam: Partition, p: int, max_len: Optional[int]) -> list[Partition]:
+def _strip_extensions(lam: Partition, p: int, max_len: Optional[int]) -> tuple[Partition, ...]:
     # trusted: a canonical partition and a strip size p >= 0.  A horizontal
     # strip over lam occupies at most one new row, so the bound shape is lam
     # with p extra columns in row 1 and each later row capped by the row
@@ -230,7 +239,7 @@ def _strip_extensions(lam: Partition, p: int, max_len: Optional[int]) -> list[Pa
     bound = ((lam[0] + p,) if lam else (p,)) + lam
     if max_len is not None:
         if len(lam) > max_len:
-            return []
+            return ()
         bound = bound[:max_len]
     return _strips(lam, bound, p)
 
@@ -259,6 +268,15 @@ def partitions_of(
             _int(bound, "length and part bounds")
     if k < 0:
         raise ValueError("cannot partition a negative integer")
+    return list(_partitions_of(k, max_len, max_part))
+
+
+@memo
+def _partitions_of(
+    k: int, max_len: Optional[int], max_part: Optional[int]
+) -> tuple[Partition, ...]:
+    # trusted: checked ints, k >= 0.  The tuple is shared; partitions_of
+    # copies it.
     cap = k if max_part is None else min(k, max_part)
     limit = k if max_len is None else min(k, max_len)
     out: list[Partition] = []
@@ -272,7 +290,7 @@ def partitions_of(
             continue
         for v in range(1, min(rem, cap_next) + 1):
             stack.append((prefix + (v,), rem - v, v))
-    return out
+    return tuple(out)
 
 
 def subpartitions(lam: Sequence[int]) -> list[Partition]:

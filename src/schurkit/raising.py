@@ -38,10 +38,15 @@ def _staircase(length: int) -> tuple[int, ...]:
 def perm_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation given in one-line form over 0..n-1.  Checks
     that perm is one, then runs the trusted `_perm_sign`."""
+    return _perm_sign(_permutation(perm))
+
+
+def _permutation(perm: Sequence[int]) -> tuple[int, ...]:
+    """perm as a tuple, when it is a permutation of 0..n-1 in one-line form."""
     perm = _ints(perm, "permutation")
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
-    return _perm_sign(perm)
+    return perm
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

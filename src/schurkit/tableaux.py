@@ -33,7 +33,7 @@ from .partitions import (
     normalize,
     pad,
 )
-from .raising import _forced_contents, _perm_sign, perm_sign
+from .raising import _forced_contents, _perm_sign, _permutation, perm_sign
 
 
 class Tableau:
@@ -108,16 +108,6 @@ class Tableau:
         counts = [0] * length
         for row in self.rows:
             for e in row:
-                counts[e - 1] += 1
-        return tuple(counts)
-
-    def content_from_column(self, col: int) -> tuple[int, ...]:
-        """Content of the subtableau occupying columns >= col."""
-        counts = [0] * self.max_entry()
-        for i, row in enumerate(self.rows):
-            # row i starts in column inner_i + 1
-            offset = self.inner[i] if i < len(self.inner) else 0
-            for e in row[max(col - offset - 1, 0) :]:
                 counts[e - 1] += 1
         return tuple(counts)
 
@@ -384,15 +374,17 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     and j+1, rows are re-sorted, and the transposition (j, j+1) is composed
     onto w.
 
-    The pair must be consistent (the content of the filling is the forced
-    content of w) and bad.  The columns are built once, and one pass from
-    the right finds r and j (adding column r can only break the pairs
-    (e - 1, e) of its entries e) and ends with the content of the filling.
+    The pair must be consistent (w is a permutation of 0..l-1 and the
+    content of the filling is its forced content) and bad.  The columns are
+    built once, and one pass from the right finds r and j (adding column r
+    can only break the pairs (e - 1, e) of its entries e) and ends with the
+    content of the filling.
     The flipped filling keeps the shape and every row length, so it is
     built without the constructor's checks, then revalidated with
     is_semistandard.
     """
     w, tab = pair
+    w = _permutation(w)
     nu = normalize(nu)
     base = pad(nu, len(w))
     # the forced content base[w_i] + rho[w_i] - rho[i], rho the staircase

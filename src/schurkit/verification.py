@@ -111,13 +111,21 @@ def suite_lr_signed(bound: int, progress: Progress = None) -> Verdicts:
         )
     _tick(progress, "lr-signed: signed sums done")
     for lam, mu, nu in _lr_triples(min(bound, 6)):
-        for pair in [p for p in signed_lr_pairs(lam, mu, nu) if is_bad_pair(p)]:
-            image = bz_involution(pair, nu)
+        # each bad pair's image is computed once; an image that is one of
+        # these bad pairs has its own image here already
+        images = {
+            pair: bz_involution(pair, nu)
+            for pair in signed_lr_pairs(lam, mu, nu)
+            if is_bad_pair(pair)
+        }
+        for pair, image in images.items():
+            known = image in images
             fault = (
                 "has a fixed point" if image == pair
-                else "left the bad set" if not is_bad_pair(image)
+                else "left the bad set" if not (known or is_bad_pair(image))
                 else "kept the sign" if image.sign != -pair.sign
-                else "not involutive" if bz_involution(image, nu) != pair
+                else "not involutive"
+                if (images[image] if known else bz_involution(image, nu)) != pair
                 else None
             )
             yield fault is None or f"involution {fault}: {pair} in {lam}/{mu}"

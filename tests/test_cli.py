@@ -16,6 +16,7 @@ from schurkit import cli, clear_caches, verification
 from schurkit.cli import _build_parser, _read_argv, main
 from schurkit.polyval import SparsePoly
 from schurkit.ring import SymFunc
+from schurkit.tableaux import SignedPair, Tableau, bz_involution
 
 
 def run(capsys, *argv):
@@ -223,6 +224,60 @@ def test_run_suite_reports_a_fixed_involution(monkeypatch):
     assert result.failures[0] == (
         "involution has a fixed point: SignedPair(w=(0, 1), tableau=Tableau(1 2)) in (2,)/()"
     )
+
+
+def test_run_suite_reports_an_involution_leaving_the_bad_set(monkeypatch):
+    good = SignedPair((0,), Tableau((1,), (), [(1,)]))
+    monkeypatch.setattr(verification, "bz_involution", lambda pair, nu: good)
+    result = verification.run_suite("lr-signed", 3)
+    assert result.checked == 49 and len(result.failures) == 16
+    assert all(f.startswith("involution left the bad set: ") for f in result.failures)
+    assert result.failures[-1] == (
+        "involution left the bad set: SignedPair(w=(1, 0), tableau=Tableau(. 2 / 2)) in (2, 1)/(1,)"
+    )
+
+
+def test_run_suite_reports_an_involution_keeping_the_sign(monkeypatch):
+    # the true image's filling under the pair's own w: bad, but not one of
+    # the triple's bad pairs, so its badness is read from the filling
+    monkeypatch.setattr(
+        verification, "bz_involution", lambda pair, nu: SignedPair(pair.w, bz_involution(pair, nu).tableau)
+    )
+    result = verification.run_suite("lr-signed", 3)
+    assert result.checked == 49 and len(result.failures) == 16
+    assert all(f.startswith("involution kept the sign: ") for f in result.failures)
+
+
+def test_run_suite_reports_an_involution_that_is_not_involutive(monkeypatch):
+    # s[3] with nu = (1,1,1) has two bad pairs of each sign: a sign-reversing
+    # 4-cycle over them.  One pair of s[2] with nu = (1,1) goes to a bad pair
+    # of opposite sign outside its triple, whose image is computed afresh;
+    # the other pair of s[2] still goes to it, which then goes elsewhere.
+    a, b, c, d = (
+        SignedPair(w, Tableau((3,), (), [rows]))
+        for w, rows in (((0, 1, 2), (1, 2, 3)), ((0, 2, 1), (1, 3, 3)), ((1, 2, 0), (3, 3, 3)), ((1, 0, 2), (2, 2, 3)))
+    )
+    e = SignedPair((0, 1), Tableau((2,), (), [(1, 2)]))
+    foreign = SignedPair((1, 0), Tableau((3,), (1,), [(2, 2)]))
+    moves = {a: b, b: c, c: d, d: a, e: foreign}
+    calls = []
+
+    def involution(pair, nu):
+        calls.append(pair)
+        return moves.get(pair) or bz_involution(pair, nu)
+
+    monkeypatch.setattr(verification, "bz_involution", involution)
+    result = verification.run_suite("lr-signed", 3)
+    assert result.checked == 49 and len(result.failures) == 6
+    assert all(f.startswith("involution not involutive: ") for f in result.failures)
+    assert result.failures[:2] == [
+        "involution not involutive: SignedPair(w=(0, 1), tableau=Tableau(1 2)) in (2,)/()",
+        "involution not involutive: SignedPair(w=(1, 0), tableau=Tableau(2 2)) in (2,)/()",
+    ]
+    assert all(f.endswith(" in (3,)/()") for f in result.failures[2:])
+    # one image per bad pair, and one more for the image outside its triple
+    # (a bad pair of s[3]/s[1] too, so it is asked twice in all)
+    assert len(calls) == 16 + 1 and calls.count(foreign) == 2
 
 
 def test_a_command_reads_the_degree_cap_once(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import schurkit
 from schurkit.partitions import (
+    _strips,
     compositions_of,
     conjugate,
     contains,
@@ -24,6 +25,7 @@ from schurkit.partitions import (
     term_key,
     vertical_strip_extensions,
 )
+from schurkit.ring import SymFunc, multiply
 
 
 @st.composite
@@ -280,3 +282,74 @@ def test_partition_literals_round_trip():
 @given(partition_strategy())
 def test_literal_round_trip_random(lam):
     assert parse_partition(format_partition(lam)) == lam
+
+
+# The strip walk as it was before its memo: an explicit-stack DFS, kept here
+# as the reference the memoised _strips must reproduce.
+
+
+def _strips_by_dfs(base, bound, size):
+    rows = min(len(bound), len(base) + 1)
+    out = []
+    stack = [(0, 0, ())]
+    while stack:
+        row, used, prefix = stack.pop()
+        if row == rows:
+            if size is None or used == size:
+                out.append(prefix[:-1] if prefix and not prefix[-1] else prefix)
+            continue
+        low = base[row] if row < len(base) else 0
+        high = min(bound[row], base[row - 1]) if row else bound[0]
+        if size is not None:
+            high = min(high, low + size - used)
+        for v in range(low, high + 1):
+            stack.append((row + 1, used + v - low, prefix + (v,)))
+    return out if size is not None else sorted(out, key=term_key)
+
+
+def test_strip_memo_matches_the_unmemoised_walk():
+    schurkit.clear_caches()
+    calls = 0
+    for k in range(10):
+        for bound in partitions_of(k):
+            for base in subpartitions(bound):
+                # every size up to one past the boxes of bound/base
+                for size in [None, *range(k - sum(base) + 2)]:
+                    want = tuple(_strips_by_dfs(base, bound, size))
+                    # a miss, and then a hit unless the bound evicted it
+                    assert _strips(base, bound, size) == want, (base, bound, size)
+                    assert _strips(base, bound, size) == want, (base, bound, size)
+                    calls += 1
+    assert calls == 10551
+    info = _strips.cache_info()
+    assert info.hits >= calls and info.currsize == info.maxsize
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (horizontal_strips_within, ((1,), (3, 2), None)),
+        (horizontal_strips_within, ((2, 1), (4, 2, 1), 2)),
+        (horizontal_strip_extensions, ((2, 1), 2)),
+        (horizontal_strip_extensions, ((2, 1), 2, 2)),
+        (partitions_of, (6,)),
+        (partitions_of, (6, 2, 3)),
+    ],
+)
+def test_mutating_a_result_leaves_the_memo_alone(fn, args):
+    first = fn(*args)
+    kept = list(first)
+    first.append((99,))
+    first.reverse()
+    again = fn(*args)
+    assert again == kept and again is not first
+
+
+def test_strip_memo_stays_within_its_bound():
+    # h[4,3,2,1]^2 asks for more than 11,000 distinct strips by Pieri steps
+    schurkit.clear_caches()
+    h = SymFunc.element("h", (4, 3, 2, 1))
+    multiply(h, h)
+    info = _strips.cache_info()
+    assert info.maxsize == 4096
+    assert info.misses > info.maxsize and info.currsize == info.maxsize

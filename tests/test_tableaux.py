@@ -243,6 +243,18 @@ def test_bz_involution_rejects_inconsistent_pairs():
         bz_involution(swapped, (2, 1))
 
 
+def test_bz_involution_rejects_a_w_that_is_not_a_permutation():
+    # consistent and bad but for w: the content (0, 1) is what w = (1, 1)
+    # would force, and swapping its equal entries would map the pair to itself
+    repeated = SignedPair((1, 1), Tableau((1,), (), [(2,)]))
+    with pytest.raises(ValueError, match=r"not a permutation of 0\.\.1: \(1, 1\)"):
+        bz_involution(repeated, (1, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        bz_involution(SignedPair((0, 2), Tableau((1,), (), [(2,)])), (1, 1))
+    with pytest.raises(TypeError, match="permutation must be int"):
+        bz_involution(SignedPair((0.0, 1), Tableau((2,), (), [(2, 2)])), (1, 1))
+
+
 def test_bz_involution_properties():
     # sign-reversing, fixed-point-free involution staying inside the bad set
     seen = 0
@@ -357,9 +369,6 @@ def test_row_reads_match_the_cell_references():
     semistandard = not_semistandard = 0
     for t in _tableaux_to_read():
         assert t.max_entry() == _max_entry_by_cells(t)
-        width = t.outer[0] if t.outer else 0
-        for col in range(width + 2):
-            assert t.content_from_column(col) == _content_from_column_by_cells(t, col), (t, col)
         assert t.is_semistandard() == _is_semistandard_by_cells(t), t
         assert _max_bad_column(t) == _max_bad_column_by_cells(t), t
         semistandard += t.is_semistandard()
@@ -367,23 +376,14 @@ def test_row_reads_match_the_cell_references():
     assert semistandard > 5000 and not_semistandard > 3000
 
 
-# The per-column route: each column's suffix content rebuilt by
-# content_from_column, and each column read from cells().
-
-
-def _max_bad_column_by_columns(t):
-    width = t.outer[0] if t.outer else 0
-    for r in range(width, 0, -1):
-        counts = t.content_from_column(r)
-        if any(a < b for a, b in zip(counts, counts[1:])):
-            return r
-    return None
+# The per-column route: each column's suffix content rebuilt from cells(),
+# and each column read from cells().
 
 
 def _bz_involution_by_columns(pair):
     w, tab = pair
-    r = _max_bad_column_by_columns(tab)
-    counts = tab.content_from_column(r)
+    r = _max_bad_column_by_cells(tab)
+    counts = _content_from_column_by_cells(tab, r)
     j = next(i + 1 for i in range(len(counts) - 1) if counts[i] < counts[i + 1])
     rows = []
     for i, row in enumerate(tab.rows):
@@ -406,7 +406,7 @@ def test_column_passes_match_the_per_column_route():
     for lam, mu, nu in verification._lr_triples(6):
         for pair in signed_lr_pairs(lam, mu, nu):
             r = _max_bad_column(pair.tableau)
-            assert r == _max_bad_column_by_columns(pair.tableau), pair
+            assert r == _max_bad_column_by_cells(pair.tableau), pair
             if r is not None:
                 bad += 1
                 assert bz_involution(pair, nu) == _bz_involution_by_columns(pair), pair
