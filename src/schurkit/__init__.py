@@ -13,8 +13,6 @@ from .partitions import (
     horizontal_strip_extensions,
     horizontal_strip_reductions,
     horizontal_strips_within,
-    is_horizontal_strip,
-    is_vertical_strip,
     normalize,
     parse_composition,
     parse_partition,
@@ -32,7 +30,6 @@ from .polyval import (
     cauchy_truncated_check,
     eval_e,
     eval_h,
-    eval_h_monomial,
     eval_m,
     eval_s_tableau,
     eval_sym_func,

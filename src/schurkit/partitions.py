@@ -128,31 +128,11 @@ def _dominates(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
     return True
 
 
-def is_horizontal_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
-    """True if outer/inner is a skew diagram with no two boxes in a column.
-
-    Equivalent to the interleaving condition outer_{i+1} <= inner_i for all i.
-    """
-    inner, outer = normalize(inner), normalize(outer)
-    return _contains(inner, outer) and _interleaves(inner, outer)
-
-
 def _interleaves(inner: Partition, outer: Partition) -> bool:
     # trusted: canonical partitions with inner inside outer
     return all(
         outer[i] <= (inner[i - 1] if i <= len(inner) else 0) for i in range(1, len(outer))
     )
-
-
-def is_vertical_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
-    """True if outer/inner is a skew diagram with no two boxes in a row."""
-    inner, outer = normalize(inner), normalize(outer)
-    if not _contains(inner, outer):
-        return False
-    for i in range(len(outer)):
-        if outer[i] - (inner[i] if i < len(inner) else 0) > 1:
-            return False
-    return True
 
 
 def horizontal_strips_within(
@@ -224,11 +204,9 @@ def _strip_chains(
         stack.extend(chain + (nxt,) for nxt in reversed(_strips(chain[-1], outer, sizes[step])))
 
 
-def horizontal_strip_extensions(
-    lam: Sequence[int], p: int, max_len: Optional[int] = None
-) -> list[Partition]:
+def horizontal_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:
     """All mu with lam <= mu and mu/lam a horizontal p-strip, canonical order."""
-    return list(_strip_extensions(normalize(lam), _nonneg(p, "strip size"), max_len))
+    return list(_strip_extensions(normalize(lam), _nonneg(p, "strip size"), None))
 
 
 def _strip_extensions(lam: Partition, p: int, max_len: Optional[int]) -> tuple[Partition, ...]:
@@ -258,39 +236,18 @@ def vertical_strip_extensions(lam: Sequence[int], p: int) -> list[Partition]:
     return sorted((_conjugate(mu) for mu in extensions), key=term_key)
 
 
-def partitions_of(
-    k: int, max_len: Optional[int] = None, max_part: Optional[int] = None
-) -> list[Partition]:
-    """All partitions of k subject to the bounds, in canonical term order."""
-    _int(k, "degree")
-    for bound in (max_len, max_part):
-        if bound is not None:
-            _int(bound, "length and part bounds")
-    if k < 0:
+def partitions_of(k: int) -> list[Partition]:
+    """All partitions of k, in canonical term order."""
+    if _int(k, "degree") < 0:
         raise ValueError("cannot partition a negative integer")
-    return list(_partitions_of(k, max_len, max_part))
+    return list(_partitions_of(k))
 
 
 @memo
-def _partitions_of(
-    k: int, max_len: Optional[int], max_part: Optional[int]
-) -> tuple[Partition, ...]:
-    # trusted: checked ints, k >= 0.  The tuple is shared; partitions_of
-    # copies it.
-    cap = k if max_part is None else min(k, max_part)
-    limit = k if max_len is None else min(k, max_len)
-    out: list[Partition] = []
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), k, cap)]
-    while stack:
-        prefix, rem, cap_next = stack.pop()
-        if rem == 0:
-            out.append(prefix)
-            continue
-        if len(prefix) == limit or cap_next == 0:
-            continue
-        for v in range(1, min(rem, cap_next) + 1):
-            stack.append((prefix + (v,), rem - v, v))
-    return tuple(out)
+def _partitions_of(k: int) -> tuple[Partition, ...]:
+    # trusted: k >= 0.  Every partition of k lies below (k) in dominance.
+    # The tuple is shared; partitions_of copies it.
+    return tuple(_dominated(_trim((k,))))
 
 
 def subpartitions(lam: Sequence[int]) -> list[Partition]:

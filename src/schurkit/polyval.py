@@ -3,7 +3,7 @@
 This is the ground-truth side of the library: every ring-level identity has
 a brute-force counterpart here, computed monomial by monomial with integer
 coefficients.  Exponent vectors are dense tuples of fixed length n inside a
-sparse term map.  Three places pack them into single integers, a fixed
+sparse term map.  Four places pack them into single integers, a fixed
 number of bytes per variable with x_1 most significant (Kronecker
 substitution, `_pack`): a product, the tableau walk behind eval_s_tableau,
 the h-product chain, and the walk of an h side at its dominant monomials.
@@ -235,15 +235,6 @@ def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
     # the tuple view of _h_packed; beta sorted descending
     width = _byte_width(sum(beta))
     return SparsePoly._trusted(n, {_unpack(k, width, n): c for k, c in _h_packed(beta, n, width).items()})
-
-
-def eval_h_monomial(beta: Sequence[int], n: int) -> SparsePoly:
-    """Product of complete homogeneous functions indexed by beta."""
-    SparsePoly._check_head(n)
-    key = tuple(sorted((b for b in _ints(beta, "h indices") if b), reverse=True))
-    if any(b < 0 for b in key):
-        return SparsePoly.zero(n)
-    return _h_monomial(key, n)
 
 
 @memo

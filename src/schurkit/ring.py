@@ -33,8 +33,8 @@ from .partitions import (
     _dominated,
     _int,
     _nonneg,
+    _strip_extensions,
     _trim,
-    conjugate,
     format_partition,
     horizontal_strip_extensions,
     horizontal_strip_reductions,
@@ -161,7 +161,7 @@ def _h_in_s(mu: Partition) -> dict[Partition, int]:
     return accumulate(
         (shape, c)
         for base, c in _h_in_s(mu[:-1]).items()
-        for shape in horizontal_strip_extensions(base, mu[-1])
+        for shape in _strip_extensions(base, mu[-1], None)
     )
 
 
@@ -500,14 +500,14 @@ def mirror_identity_check(lam: Sequence[int], p: int, n: Optional[int] = None) -
     if n is not None and _int(n, "length bound") < ell:
         raise ValueError(f"length bound {n} is below the partition length {ell}")
 
-    def side(width: int, step, strips: list[Partition]) -> bool:
+    def side(width: int, step, strips: Sequence[Partition]) -> bool:
         base = pad(lam, width)
         lhs = _signed_sum(tuple(map(step, base, alpha)) for alpha in _compositions(p, width))
         return lhs == dict.fromkeys(strips, 1)
 
-    return side(
-        ell + p if n is None else n, add, horizontal_strip_extensions(lam, p, max_len=n)
-    ) and side(ell + 1 if n is None else n, sub, horizontal_strip_reductions(lam, p))
+    return side(ell + p if n is None else n, add, _strip_extensions(lam, p, n)) and side(
+        ell + 1 if n is None else n, sub, horizontal_strip_reductions(lam, p)
+    )
 
 
 def skew_mirror_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -552,7 +552,7 @@ def cauchy_transition_check(k: int, dual: bool = False) -> bool:
     def pairs():
         for lam in parts:
             left = convert(SymFunc.element("s", lam), "m")
-            second = SymFunc.element("s", conjugate(lam) if dual else lam)
+            second = SymFunc.element("s", _conjugate(lam) if dual else lam)
             right = convert(second, "e" if dual else "h")
             for a, ca in left._terms.items():
                 for b, cb in right._terms.items():

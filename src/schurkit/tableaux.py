@@ -29,7 +29,6 @@ from .partitions import (
     _strip_chains,
     _strips,
     _trim,
-    contains,
     normalize,
     pad,
 )
@@ -54,7 +53,7 @@ class Tableau:
     ):
         object.__setattr__(self, "outer", normalize(outer))
         object.__setattr__(self, "inner", normalize(inner))
-        if not contains(self.inner, self.outer):
+        if not _contains(self.inner, self.outer):
             raise ValueError(f"inner shape {self.inner} not contained in {self.outer}")
         object.__setattr__(self, "rows", tuple(_ints(row, "tableau entries") for row in rows))
         if len(self.rows) != len(self.outer):
@@ -182,7 +181,7 @@ def enumerate_ssyt(
     per entry value; the order of the output is deterministic.
     """
     outer, inner = normalize(outer), normalize(inner)
-    if not contains(inner, outer):
+    if not _contains(inner, outer):
         raise ValueError(f"inner shape {inner} not contained in {outer}")
     if _int(max_entry, "max_entry") < 1:
         raise ValueError("max_entry must be at least 1")
@@ -222,11 +221,12 @@ def kostka(outer: Sequence[int], inner: Sequence[int], alpha: Sequence[int]) -> 
     alpha = _ints(alpha, "content")
     if any(a < 0 for a in alpha):
         return 0
-    if not contains(inner, outer):
+    if not _contains(inner, outer):
         return 0
     if sum(alpha) != sum(outer) - sum(inner):
         return 0
-    return _kostka_chains(outer, inner, _trim(alpha))
+    # a 0 part adds no boxes
+    return _kostka_chains(outer, inner, tuple(a for a in alpha if a))
 
 
 def is_lr_tableau(tab: Tableau) -> bool:
@@ -259,7 +259,7 @@ def lr_tableaux(
 ) -> list[Tableau]:
     """The Littlewood-Richardson fillings of lam/mu with content nu."""
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
+    if not _contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
         return []
     cands = (_chain_to_tableau(lam, mu, chain) for chain in _strip_chains(lam, mu, nu))
     return [t for t in cands if is_lr_tableau(t)]
@@ -335,7 +335,7 @@ def signed_lr_pairs(
     """All pairs (w, T): w permutes the staircase-shifted content of nu and T
     is a semistandard filling of lam/mu realizing that content."""
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if not contains(mu, lam):
+    if not _contains(mu, lam):
         raise ValueError(f"inner shape {mu} not contained in {lam}")
     return [
         SignedPair(perm, _chain_to_tableau(lam, mu, chain))
@@ -352,7 +352,7 @@ def signed_lr_sum(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> i
     boxes, so the shape is checked once, not once per permutation.
     """
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if not contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
+    if not _contains(mu, lam) or sum(mu) + sum(nu) != sum(lam):
         return 0
     return sum(sign * _kostka_chains(lam, mu, forced) for sign, forced in _signed_contents(nu))
 

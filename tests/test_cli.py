@@ -70,6 +70,9 @@ def test_lr_and_kostka(capsys):
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, "kostka", "[2,2]", "[1]", "[1,0,2]")
     assert code == 0 and out.strip() == "1"
+    # a 0 part adds no boxes, so 3,000 of them are no deeper a walk
+    code, out, err = run(capsys, "kostka", "[1]", "[]", "[" + "0," * 3000 + "1]")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_witnesses(capsys):
@@ -82,6 +85,9 @@ def test_witnesses(capsys):
     code, out, _ = run(capsys, "kostka", "[2,1]", "[]", "[1,1,1]", "--witnesses", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["count"] == 2 and len(payload["witnesses"]) == 2
+    # the witnesses keep the entries that the count's zero parts skip
+    code, out, _ = run(capsys, "kostka", "[2,1]", "[]", "[0,1,0,2]", "--witnesses")
+    assert code == 0 and out == '1\n[{"outer": [2, 1], "inner": [], "rows": [[2, 4], [4]]}]\n'
 
 
 def test_skew(capsys):

@@ -7,8 +7,8 @@ from schurkit.partitions import partition_count
 from schurkit.polyval import (
     eval_e,
     eval_h,
-    eval_h_monomial,
     eval_s_tableau,
+    eval_sym_func,
     jacobi_trudi_eval_check,
 )
 from schurkit.ring import BASES, SymFunc, convert, kostka_inverse, kostka_matrix, multiply
@@ -30,7 +30,7 @@ def test_one_clear_empties_every_memo(capsys):
     kostka_inverse(4)
     eval_h(2, 3)
     eval_e(2, 3)
-    eval_h_monomial((2, 1), 3)
+    eval_sym_func(SymFunc.element("h", (2, 1)), 3)
     # the h side of the Jacobi-Trudi check fills the peel memo
     jacobi_trudi_eval_check((2, 1), 3)
     partition_count(10)

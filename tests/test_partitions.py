@@ -1,10 +1,12 @@
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
 
 import schurkit
 from schurkit.partitions import (
+    _strip_extensions,
     _strips,
     compositions_of,
     conjugate,
@@ -14,8 +16,6 @@ from schurkit.partitions import (
     horizontal_strip_extensions,
     horizontal_strip_reductions,
     horizontal_strips_within,
-    is_horizontal_strip,
-    is_vertical_strip,
     normalize,
     parse_composition,
     parse_partition,
@@ -45,6 +45,19 @@ def count_by_max_part(n, cap):
     if n < 0 or cap == 0:
         return 0
     return count_by_max_part(n - cap, cap) + count_by_max_part(n, cap - 1)
+
+
+def is_vertical_strip(inner, outer):
+    """Reference: outer/inner is a skew diagram with at most one box per row."""
+    return contains(inner, outer) and all(
+        o - i <= 1 for o, i in zip_longest(outer, inner, fillvalue=0)
+    )
+
+
+def is_horizontal_strip(inner, outer):
+    """Reference: at most one box per column, i.e. a vertical strip of the
+    conjugate diagrams."""
+    return is_vertical_strip(conjugate(inner), conjugate(outer))
 
 
 def test_normalize_strips_zeros_and_validates():
@@ -108,28 +121,12 @@ def test_dominates_is_partial_order_and_conjugation_reverses():
                             assert dominates(lam, nu)
 
 
-def test_strip_predicates_examples():
-    assert is_horizontal_strip((2, 1), (4, 1))
-    assert is_horizontal_strip((2, 1), (2, 2, 1))
-    assert not is_horizontal_strip((2, 1), (2, 1, 1, 1))
-    assert is_vertical_strip((1,), (1, 1))
-    assert not is_vertical_strip((1,), (3,))
-    assert is_vertical_strip((2, 1), (2, 2, 1))
-
-
-def test_strips_swap_under_conjugation():
-    for k in range(7):
-        for lam in partitions_of(k):
-            for mu in subpartitions(lam):
-                assert is_horizontal_strip(mu, lam) == is_vertical_strip(
-                    conjugate(mu), conjugate(lam)
-                )
-
-
 def test_horizontal_strip_extensions_examples():
     assert horizontal_strip_extensions((1,), 1) == [(2,), (1, 1)]
     assert horizontal_strip_extensions((2, 1), 2) == [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)]
-    assert horizontal_strip_extensions((2,), 1, max_len=1) == [(3,)]
+    # the trusted core cuts the shapes at a row count, as the mirror
+    # identity in n variables needs
+    assert _strip_extensions((2,), 1, 1) == ((3,),)
     assert horizontal_strip_extensions((3, 1), 0) == [(3, 1)]
 
 
@@ -187,14 +184,14 @@ def test_extensions_really_are_strips():
 def test_partitions_of_examples():
     assert partitions_of(0) == [()]
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert partitions_of(3, max_len=2) == [(3,), (2, 1)]
-    assert partitions_of(5, max_part=2) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
 
 
 def test_partitions_of_is_sorted_and_duplicate_free():
-    for k in range(9):
+    # with the count oracle, this fixes the set and the order
+    for k in range(16):
         parts = partitions_of(k)
-        assert len(set(parts)) == len(parts)
+        assert all(normalize(lam) == lam and sum(lam) == k for lam in parts), k
+        assert len(set(parts)) == len(parts) == count_by_max_part(k, k)
         assert parts == sorted(parts, key=term_key)
 
 
@@ -331,9 +328,7 @@ def test_strip_memo_matches_the_unmemoised_walk():
         (horizontal_strips_within, ((1,), (3, 2), None)),
         (horizontal_strips_within, ((2, 1), (4, 2, 1), 2)),
         (horizontal_strip_extensions, ((2, 1), 2)),
-        (horizontal_strip_extensions, ((2, 1), 2, 2)),
         (partitions_of, (6,)),
-        (partitions_of, (6, 2, 3)),
     ],
 )
 def test_mutating_a_result_leaves_the_memo_alone(fn, args):

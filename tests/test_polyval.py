@@ -20,7 +20,6 @@ from schurkit.polyval import (
     cauchy_truncated_check,
     eval_e,
     eval_h,
-    eval_h_monomial,
     eval_m,
     eval_s_tableau,
     eval_sym_func,
@@ -105,7 +104,7 @@ def test_sparse_poly_entries_are_exact_integers():
     )
     for bad in (1.5, 1.0, True):
         with pytest.raises(TypeError):
-            eval_h_monomial((2, bad), 2)
+            eval_sym_func(SymFunc.element("h", (2, bad)), 2)
         with pytest.raises(TypeError):
             alternant((bad, 0), 2)
         with pytest.raises(TypeError):
@@ -193,11 +192,12 @@ def test_eval_degree_must_be_int(fn, bad):
 def test_h_monomial_variable_count_must_be_int(bad):
     # cold, then with the int count memoised
     schurkit.clear_caches()
+    h21 = SymFunc.element("h", (2, 1))
     with pytest.raises(TypeError):
-        eval_h_monomial((2, 1), bad)
-    assert eval_h_monomial((2, 1), int(bad))
+        eval_sym_func(h21, bad)
+    assert eval_sym_func(h21, int(bad))
     with pytest.raises(TypeError):
-        eval_h_monomial((2, 1), bad)
+        eval_sym_func(h21, bad)
 
 
 def test_eval_s_examples():
@@ -254,7 +254,7 @@ def test_eval_sym_func_matches_conversions():
     f = SymFunc("h", {(2, 1): 1, (3,): -2})
     assert eval_sym_func(f, 3) == eval_sym_func(convert(f, "s"), 3)
     assert eval_sym_func(f, 3) == eval_sym_func(convert(f, "m"), 3)
-    assert eval_h_monomial((2, 1), 3) == eval_h(2, 3) * eval_h(1, 3)
+    assert eval_sym_func(SymFunc.element("h", (2, 1)), 3) == eval_h(2, 3) * eval_h(1, 3)
 
 
 def test_alternant_examples():

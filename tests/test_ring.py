@@ -558,10 +558,6 @@ def test_degree_arguments_must_be_int():
         for fn in (partitions_of, kostka_matrix, kostka_inverse):
             with pytest.raises(TypeError):
                 fn(bad)
-        with pytest.raises(TypeError):
-            partitions_of(3, max_len=bad)
-        with pytest.raises(TypeError):
-            partitions_of(3, max_part=bad)
         # sizes of strips, entries and bounds; True once passed as 1
         for call in (
             lambda: pieri_h(bad, s((1,))),

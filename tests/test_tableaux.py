@@ -130,6 +130,9 @@ def test_kostka_examples():
     assert kostka((2, 1), (), (1, 1)) == 0  # size mismatch
     assert kostka((2, 1), (), (-1, 4)) == 0
     assert kostka((1,), (2,), (1,)) == 0  # inner not contained
+    # a 0 part adds no boxes, so 500 of them are no deeper a walk
+    assert kostka((1,), (), (0,) * 500 + (1,)) == 1
+    assert kostka((2, 1), (), (0, 1, 0, 2)) == kostka((2, 1), (), (1, 2)) == 1
 
 
 def test_kostka_counts_enumeration():
@@ -190,7 +193,7 @@ def test_lr_coefficient_walks_only_contents_inside_lam(monkeypatch):
     # 913 of the 1,723 contents nu the suite asks about do not fit inside
     # lam, where c^lam_{mu nu} = 0 without a walk
     assert result.failures == [] and len(walks) == 810
-    assert all(tableaux.contains(nu, lam) for _, nu, lam in walks)
+    assert all(schurkit.contains(nu, lam) for _, nu, lam in walks)
     schurkit.clear_caches()
 
 
