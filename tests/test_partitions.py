@@ -121,6 +121,33 @@ def test_dominates_is_partial_order_and_conjugation_reverses():
                             assert dominates(lam, nu)
 
 
+def test_strip_predicates_examples():
+    # the enumerators list a shape exactly when the reference predicate holds
+    cases = [
+        (horizontal_strip_extensions, is_horizontal_strip, (2, 1), (4, 1), True),
+        (horizontal_strip_extensions, is_horizontal_strip, (2, 1), (2, 2, 1), True),
+        (horizontal_strip_extensions, is_horizontal_strip, (2, 1), (2, 1, 1, 1), False),
+        (vertical_strip_extensions, is_vertical_strip, (1,), (1, 1), True),
+        (vertical_strip_extensions, is_vertical_strip, (1,), (3,), False),
+        (vertical_strip_extensions, is_vertical_strip, (2, 1), (2, 2, 1), True),
+    ]
+    for extend, is_strip, inner, outer, want in cases:
+        assert is_strip(inner, outer) == want, (inner, outer)
+        assert (outer in extend(inner, sum(outer) - sum(inner))) == want, (inner, outer)
+
+
+def test_strips_swap_under_conjugation():
+    # reductions walk the strips inside lam, vertical extensions the
+    # conjugated extensions: two paths that must agree on every pair
+    for k in range(7):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                p = k - sum(mu)
+                horizontal = mu in horizontal_strip_reductions(lam, p)
+                vertical = conjugate(lam) in vertical_strip_extensions(conjugate(mu), p)
+                assert horizontal == vertical == is_horizontal_strip(mu, lam), (mu, lam)
+
+
 def test_horizontal_strip_extensions_examples():
     assert horizontal_strip_extensions((1,), 1) == [(2,), (1, 1)]
     assert horizontal_strip_extensions((2, 1), 2) == [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)]
@@ -328,7 +355,11 @@ def test_strip_memo_matches_the_unmemoised_walk():
         (horizontal_strips_within, ((1,), (3, 2), None)),
         (horizontal_strips_within, ((2, 1), (4, 2, 1), 2)),
         (horizontal_strip_extensions, ((2, 1), 2)),
+        (horizontal_strip_extensions, ((), 3)),
         (partitions_of, (6,)),
+        (partitions_of, (0,)),
+        (horizontal_strip_reductions, ((3, 2, 1), 2)),
+        (vertical_strip_extensions, ((2, 1), 2)),
     ],
 )
 def test_mutating_a_result_leaves_the_memo_alone(fn, args):
