@@ -3,14 +3,13 @@
 This is the ground-truth side of the library: every ring-level identity has
 a brute-force counterpart here, computed monomial by monomial with integer
 coefficients.  Exponent vectors are dense tuples of fixed length n inside a
-sparse term map.  Four places pack them into single integers, a fixed
+sparse term map.  Three places pack them into single integers, a fixed
 number of bytes per variable with x_1 most significant (Kronecker
 substitution, `_pack`): a product, the tableau walk behind eval_s_tableau,
-the h-product chain, and the walk of an h side at its dominant monomials.
-The walks and the chain keep their terms packed, and
-jacobi_trudi_eval_check compares the tableau walk with the dominant h walk
-packed, at a width that holds every exponent up to |lam|; every value the
-module returns carries tuples.
+and the walk of an h side at its dominant monomials.  The walks keep
+their terms packed, and jacobi_trudi_eval_check compares the tableau walk
+with the dominant h walk packed, at a width that holds every exponent up
+to |lam|; every value the module returns carries tuples.
 A product over disjoint alphabets joins exponent vectors end to end
 instead: the other identity checks sum such products, and plain linear
 combinations, in one pass.
@@ -107,9 +106,9 @@ class SparsePoly(SparseCombination):
         # those of e_1, ..., e_n, and adding packed keys adds exponent
         # vectors without carries
         n, width = self._head, _byte_width(self.degree() + other.degree())
-        left = {_pack(e, width): c for e, c in self._terms.items()}
-        right = {_pack(e, width): c for e, c in other._terms.items()}
-        packed = _packed_product(left, right)
+        left = [(_pack(e, width), c) for e, c in self._terms.items()]
+        right = [(_pack(e, width), c) for e, c in other._terms.items()]
+        packed = accumulate((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right)
         return self._like({_unpack(k, width, n): c for k, c in packed.items()})
 
     def degree(self) -> int:
@@ -138,12 +137,6 @@ def _unpack(key: int, width: int, n: int) -> tuple[int, ...]:
     if width == 1:  # every degree below 256: each byte is an exponent
         return tuple(raw)
     return tuple(int.from_bytes(raw[i : i + width], "big") for i in range(0, n * width, width))
-
-
-def _packed_product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-    # packed terms of a product: adding keys adds exponent vectors, carry
-    # free while the product's degree fits the width both sides share
-    return accumulate((k1 + k2, c1 * c2) for k1, c1 in left.items() for k2, c2 in right.items())
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +176,13 @@ def eval_e(r: int, n: int) -> SparsePoly:
     return _symmetric_sum(r, n, itertools.combinations)
 
 
+def _generator_product(basis: str, beta: Sequence[int], n: int) -> SparsePoly:
+    # h_beta or e_beta (basis "h" or "e") in n variables: the product of
+    # h_b or e_b over the parts b of beta.  Trusted: int parts, n checked.
+    generator = _eval_h if basis == "h" else eval_e
+    return reduce(mul, (generator(b, n) for b in beta), SparsePoly.one(n))
+
+
 def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Each rearrangement of a multiset exactly once (not n! with repeats)."""
     counts = dict.fromkeys(sorted(set(values)), 0)
@@ -219,22 +219,6 @@ def _eval_m(lam: Partition, n: int) -> SparsePoly:
     if len(lam) > n:
         return SparsePoly.zero(n)
     return SparsePoly._trusted(n, dict.fromkeys(_distinct_permutations(pad(lam, n)), 1))
-
-
-@memo
-def _h_packed(beta: tuple[int, ...], n: int, width: int) -> dict[int, int]:
-    # the packed terms of h_beta(x_1..x_n), each exponent in `width` bytes:
-    # beta sorted descending, so callers share prefixes
-    if not beta:
-        return {0: 1}
-    last = {_pack(e, width): 1 for e in _eval_h(beta[-1], n)._terms}
-    return _packed_product(_h_packed(beta[:-1], n, width), last)
-
-
-def _h_monomial(beta: tuple[int, ...], n: int) -> SparsePoly:
-    # the tuple view of _h_packed; beta sorted descending
-    width = _byte_width(sum(beta))
-    return SparsePoly._trusted(n, {_unpack(k, width, n): c for k, c in _h_packed(beta, n, width).items()})
 
 
 @memo
@@ -298,11 +282,9 @@ def eval_sym_func(f, n: int) -> SparsePoly:
     def image(lam: Partition) -> SparsePoly:
         if f.basis == "s":
             return _eval_s(lam, (), n)
-        if f.basis == "h":
-            return _h_monomial(lam, n)
-        if f.basis == "e":
-            return reduce(mul, (eval_e(part, n) for part in lam), SparsePoly.one(n))
-        return _eval_m(lam, n)
+        if f.basis == "m":
+            return _eval_m(lam, n)
+        return _generator_product(f.basis, lam, n)
 
     return _joined_sum(n, ((c, image(lam), _ONE) for lam, c in f._terms.items()))
 
@@ -526,8 +508,7 @@ def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
             for alpha in _compositions(total, len(lam)):
                 sp = _straighten(tuple(map(sub, lam, alpha)))
                 if sp.sign:
-                    h_alpha = _h_monomial(tuple(sorted(filter(None, alpha), reverse=True)), a)
-                    yield sp.sign, h_alpha, _eval_s(sp.partition, (), b)
+                    yield sp.sign, _generator_product("h", alpha, a), _eval_s(sp.partition, (), b)
 
     return _eval_s(lam, (), a + b) == _joined_sum(a + b, splits())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from ._sparse import accumulate
-from .partitions import Partition, _ints, _nonneg, _trim, pad
+from .partitions import Partition, _int, _ints, _nonneg, _trim, pad
 
 
 class SignedPartition(NamedTuple):
@@ -70,6 +70,8 @@ def apply_raising(alpha: Sequence[int], i: int, j: int) -> tuple[int, ...]:
     The result dominates the input: a unit always moves toward the front.
     """
     alpha = _ints(alpha, "index vector")
+    _int(i, "slot i")
+    _int(j, "slot j")
     if not (1 <= i < j <= len(alpha)):
         raise IndexError(f"need 1 <= i < j <= {len(alpha)}, got i={i}, j={j}")
     out = list(alpha)

@@ -235,23 +235,32 @@ def is_lr_tableau(tab: Tableau) -> bool:
 
 
 def _max_bad_column(tab: Tableau) -> Optional[int]:
-    """Largest column r whose suffix content fails to be a partition.
+    """Largest column r whose suffix content fails to be a partition."""
+    return _column_pass(tab)[1] or None
 
-    One pass from the right over the columns (each padded with zeros where
-    the shape has no box): while the suffix contents so far are partitions,
-    adding column r can only break the pairs (e - 1, e) of its entries e."""
+
+def _column_pass(tab: Tableau) -> tuple[list[tuple[int, ...]], int, int, dict[int, int]]:
+    """(columns, r, j, counts) of one pass from the right over the columns.
+
+    The columns are the rows padded with zeros where the shape has no box;
+    r is the largest column whose suffix content is not a partition and j
+    the least e - 1 of a pair (e - 1, e) it breaks (r = j = 0 if none).
+    While the suffix contents so far are partitions, adding column r can
+    only break the pairs (e - 1, e) of its entries e.  The pass goes on to
+    the first column, so counts ends as the content of the filling (with
+    the zeros of the padding under 0)."""
     padded = [(0,) * offset + row for offset, row in zip(pad(tab.inner, len(tab.rows)), tab.rows)]
     columns = list(zip_longest(*padded, fillvalue=0))
     counts: dict[int, int] = {}
     get = counts.get
-    for r in range(len(columns), 0, -1):
-        column = columns[r - 1]
+    r = j = 0
+    for col in range(len(columns), 0, -1):
+        column = columns[col - 1]
         for e in column:
             counts[e] = get(e, 0) + 1
-        for e in column:
-            if e > 1 and get(e - 1, 0) < counts[e]:
-                return r
-    return None
+        if not r and (broken := [e for e in column if e > 1 and get(e - 1, 0) < counts[e]]):
+            r, j = col, min(broken) - 1
+    return columns, r, j, counts
 
 
 def lr_tableaux(
@@ -375,10 +384,10 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     onto w.
 
     The pair must be consistent (w is a permutation of 0..l-1 and the
-    content of the filling is its forced content) and bad.  The columns are
-    built once, and one pass from the right finds r and j (adding column r
-    can only break the pairs (e - 1, e) of its entries e) and ends with the
-    content of the filling.
+    content of the filling is its forced content) and bad.  One pass from
+    the right over the columns, the one `_max_bad_column` reads
+    (`_column_pass`), finds r and j and ends with the content of the
+    filling.
     The flipped filling keeps the shape and every row length, so it is
     built without the constructor's checks, then revalidated with
     is_semistandard.
@@ -390,29 +399,15 @@ def bz_involution(pair: SignedPair, nu: Sequence[int]) -> SignedPair:
     # the forced content base[w_i] + rho[w_i] - rho[i], rho the staircase
     # (rho[k] = len(w) - 1 - k)
     expected = _trim(tuple([base[v] - v + i for i, v in enumerate(w)]))
-    offsets = pad(tab.inner, len(tab.rows))
-    padded = [(0,) * offset + row for offset, row in zip(offsets, tab.rows)]
-    columns = list(zip_longest(*padded, fillvalue=0))
-    # r is the first column from the right that breaks a pair (e - 1, e)
-    # of its entries e, j the least such e - 1; the pass goes on to the
-    # first column, so that counts ends as the content of the filling
-    counts: dict[int, int] = {}
-    get = counts.get
-    r = j = 0
-    for col in range(len(columns), 0, -1):
-        column = columns[col - 1]
-        for e in column:
-            counts[e] = get(e, 0) + 1
-        if not r and (broken := [e for e in column if e > 1 and get(e - 1, 0) < counts[e]]):
-            r, j = col, min(broken) - 1
+    columns, r, j, counts = _column_pass(tab)
     # an entry above len(w) makes the content longer than the forced one
-    content = tuple([get(e, 0) for e in range(1, max(counts, default=0) + 1)])
+    content = tuple([counts.get(e, 0) for e in range(1, max(counts, default=0) + 1)])
     if content != expected:
         raise ValueError("pair is inconsistent: content does not match w")
     if not r:
         raise ValueError("pair is not bad: involution undefined")
     new_rows = []
-    for offset, row in zip(offsets, tab.rows):
+    for offset, row in zip(pad(tab.inner, len(tab.rows)), tab.rows):
         # flip the free entries left of column r; a row without j or j + 1
         # stays as it is
         if j not in row and j + 1 not in row:

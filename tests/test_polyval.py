@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import math
@@ -255,6 +256,14 @@ def test_eval_sym_func_matches_conversions():
     assert eval_sym_func(f, 3) == eval_sym_func(convert(f, "s"), 3)
     assert eval_sym_func(f, 3) == eval_sym_func(convert(f, "m"), 3)
     assert eval_sym_func(SymFunc.element("h", (2, 1)), 3) == eval_h(2, 3) * eval_h(1, 3)
+    # every basis element against the evaluation of its Schur expansion
+    for k in range(6):
+        for lam in partitions_of(k):
+            for basis in ("s", "h", "e", "m"):
+                f = SymFunc.element(basis, lam)
+                via_s = convert(f, "s")
+                for n in range(5):
+                    assert eval_sym_func(f, n) == eval_sym_func(via_s, n), (basis, lam, n)
 
 
 def test_alternant_examples():
@@ -435,13 +444,13 @@ def _h_product_by_tuples(beta, n):
 
 
 def test_packed_h_products_match_tuple_products():
+    # h_beta as eval_sym_func builds it, a chain of packed products, against
+    # the same chain joined by tuple addition
     for k in range(7):
         for beta in partitions_of(k):
             for n in range(5):
-                for width in (1, 2):
-                    packed = polyval._h_packed(beta, n, width)
-                    unpacked = {polyval._unpack(e, width, n): c for e, c in packed.items()}
-                    assert unpacked == _h_product_by_tuples(beta, n), (beta, n, width)
+                h_beta = eval_sym_func(SymFunc.element("h", beta), n)
+                assert h_beta._terms == _h_product_by_tuples(beta, n), (beta, n)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -476,9 +485,11 @@ def _is_dominant(exps):
 
 
 def test_dominant_h_side_matches_the_full_h_products():
-    # the slow side: every h-product multiplied out by _h_packed, summed,
-    # and read at its weakly decreasing exponents; single products and the
-    # Jacobi-Trudi sums, where most terms cancel
+    # the slow side: every h-product multiplied out by tuple addition,
+    # packed at the test's width, summed and read at its weakly decreasing
+    # exponents; single products and the Jacobi-Trudi sums, where most
+    # terms cancel.  One tuple product per (beta, n), shared by the sums.
+    slow = functools.cache(_h_product_by_tuples)
     try:
         for k in range(8):
             width = polyval._byte_width(k)
@@ -486,9 +497,9 @@ def test_dominant_h_side_matches_the_full_h_products():
                 for terms in ({lam: 1}, jacobi_trudi_expand(lam)):
                     for n in range(8):
                         full = accumulate(
-                            (e, c * v)
+                            (polyval._pack(e, width), c * v)
                             for beta, c in terms.items()
-                            for e, v in polyval._h_packed(beta, n, width).items()
+                            for e, v in slow(beta, n).items()
                         )
                         dominant = {
                             e: c

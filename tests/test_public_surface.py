@@ -1,9 +1,11 @@
-"""Every function schurkit exports has a caller, or a stated reason to stay.
+"""Every function schurkit exports has a caller, or a stated reason to stay,
+and every private function or method has a library caller.
 
 A caller is library code outside the function's own definition (an AST name
 or attribute), a call in the README's library tour, or a name the benchmark
 traces.  A public function that none of these reach is surface to maintain
-with nothing to show for it: give it a caller, or delete it.
+with nothing to show for it: give it a caller, or delete it.  A private one
+counts library code only, so a helper whose last caller goes fails here.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import schurkit
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "schurkit").glob("*.py"))
 
 # exported functions kept without a caller, each with its reason
 ALLOWED = {
@@ -52,9 +55,21 @@ def _library_references() -> set[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    for path in sorted((ROOT / "src" / "schurkit").glob("*.py")):
+    for path in SOURCES:
         visit(ast.parse(path.read_text()), frozenset())
     return seen
+
+
+def _private_functions() -> set[str]:
+    """The single-underscore functions and methods defined in the library."""
+    return {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
 
 
 def _readme_tour_calls() -> set[str]:
@@ -80,3 +95,11 @@ def test_the_allowlist_holds_only_uncalled_exports():
     called = _library_references() | _readme_tour_calls() | _benchmark_traced()
     assert ALLOWED.keys() <= _exported_functions()
     assert sorted(ALLOWED.keys() & called) == []
+
+
+def test_every_private_function_has_a_library_caller():
+    # hooks such as _check_head, _key and _body count through attribute access
+    private = _private_functions()
+    assert {"_key", "_eval_s"} <= private  # methods and functions both
+    unreferenced = sorted(private - _library_references())
+    assert unreferenced == [], f"private with no library caller: {unreferenced}"

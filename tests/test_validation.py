@@ -39,7 +39,7 @@ from schurkit.polyval import (
     reduction_check,
     variable_split_check,
 )
-from schurkit.raising import staircase
+from schurkit.raising import apply_raising, staircase
 from schurkit.ring import (
     SymFunc,
     cauchy_transition_check,
@@ -245,6 +245,11 @@ RAISES = [
     (lambda: compositions_of(2, 1.0), TypeError, "length must be int, got 1.0"),
     (lambda: staircase(True), TypeError, "staircase length must be int, got True"),
     (lambda: staircase(-1), ValueError, "staircase length must be nonnegative"),
+    # the slots of a raising operator, which were used unchecked
+    (lambda: apply_raising((1, 2), True, 2), TypeError, "slot i must be int, got True"),
+    (lambda: apply_raising((1, 2), 1.0, 2), TypeError, "slot i must be int, got 1.0"),
+    (lambda: apply_raising((1, 2), 1, 2.0), TypeError, "slot j must be int, got 2.0"),
+    (lambda: apply_raising((1, 2), 0, 2.0), TypeError, "slot j must be int, got 2.0"),
     # an entry above len(w) is an inconsistent pair, told as such rather
     # than by Tableau.content refusing to cut the content at len(w)
     (lambda: bz_involution(SignedPair((0,), Tableau((2,), (), [(1, 2)])), (2,)), ValueError,
