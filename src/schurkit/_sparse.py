@@ -29,6 +29,14 @@ def accumulate(pairs: Iterable[tuple], start: Mapping = ()) -> dict:
     return acc
 
 
+def _field(data, name: str):
+    """A field of a JSON object read back; a missing one raises ValueError."""
+    try:
+        return data[name]
+    except KeyError:
+        raise ValueError(f"missing field {name!r}") from None
+
+
 class SparseCombination:
     """A sparse integer combination of canonical keys under one header.
 
@@ -134,13 +142,10 @@ class SparseCombination:
     @classmethod
     def from_json_dict(cls, data: dict):
         # coefficients travel as decimal strings; the constructor rejects any other type
-        return cls(
-            data[cls._head_name],
-            [
-                (tuple(t[cls._key_name]), int(c) if isinstance(c := t["coeff"], str) else c)
-                for t in data["terms"]
-            ],
-        )
+        head = _field(data, cls._head_name)
+        terms = _field(data, "terms")
+        pairs = [(tuple(_field(t, cls._key_name)), _field(t, "coeff")) for t in terms]
+        return cls(head, [(k, int(c) if isinstance(c, str) else c) for k, c in pairs])
 
     @classmethod
     def from_json(cls, text: str):

@@ -110,11 +110,7 @@ def dominates(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     Raises ValueError when the totals differ; dominance is only defined on
     vectors of equal size.
     """
-    return _dominates(_ints(alpha, "alpha entries"), _ints(beta, "beta entries"))
-
-
-def _dominates(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
-    # trusted: tuples of ints
+    alpha, beta = _ints(alpha, "alpha entries"), _ints(beta, "beta entries")
     if sum(alpha) != sum(beta):
         raise ValueError(
             f"dominance undefined: |{alpha!r}| = {sum(alpha)} != {sum(beta)} = |{beta!r}|"

@@ -156,17 +156,11 @@ def _symmetric_sum(r: int, n: int, choose) -> SparsePoly:
     return SparsePoly._trusted(n, terms)
 
 
-@memo
-def _eval_h(r: int, n: int) -> SparsePoly:
-    return _symmetric_sum(r, n, itertools.combinations_with_replacement)
-
-
 def eval_h(r: int, n: int) -> SparsePoly:
     """The complete homogeneous function of degree r in n variables."""
-    # before the memo: 2.0 and True hash equal to 2 and 1
     _int(r, "degree")
     SparsePoly._check_head(n)
-    return _eval_h(r, n)
+    return _symmetric_sum(r, n, itertools.combinations_with_replacement)
 
 
 def eval_e(r: int, n: int) -> SparsePoly:
@@ -176,49 +170,48 @@ def eval_e(r: int, n: int) -> SparsePoly:
     return _symmetric_sum(r, n, itertools.combinations)
 
 
-def _generator_product(basis: str, beta: Sequence[int], n: int) -> SparsePoly:
-    # h_beta or e_beta (basis "h" or "e") in n variables: the product of
-    # h_b or e_b over the parts b of beta.  Trusted: int parts, n checked.
-    generator = _eval_h if basis == "h" else eval_e
-    return reduce(mul, (generator(b, n) for b in beta), SparsePoly.one(n))
-
-
-def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Each rearrangement of a multiset exactly once (not n! with repeats)."""
-    counts = dict.fromkeys(sorted(set(values)), 0)
-    for v in values:
-        counts[v] += 1
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk():
-        if len(prefix) == len(values):
-            out.append(tuple(prefix))
-            return
-        for v in counts:
-            if counts[v]:
-                counts[v] -= 1
-                prefix.append(v)
-                walk()
-                prefix.pop()
-                counts[v] += 1
-
-    walk()
-    return out
-
-
 def eval_m(lam: Sequence[int], n: int) -> SparsePoly:
     """The monomial function: the sum over distinct rearrangements of lam
     into n exponent slots; zero when lam has more parts than variables."""
     lam = normalize(lam)
     SparsePoly._check_head(n)
-    return _eval_m(lam, n)
+    return _eval_element("m", lam, n)
 
 
-def _eval_m(lam: Partition, n: int) -> SparsePoly:
-    if len(lam) > n:
-        return SparsePoly.zero(n)
-    return SparsePoly._trusted(n, dict.fromkeys(_distinct_permutations(pad(lam, n)), 1))
+def _eval_element(basis: str, lam: Sequence[int], n: int) -> SparsePoly:
+    """The basis element s_lam, m_lam, h_lam or e_lam in n variables; h and
+    e are the products of h_b or e_b over the parts b of lam.  Trusted:
+    lam canonical for s and m, int parts for h and e, n checked."""
+    if basis == "s":
+        return _eval_s(lam, (), n)
+    if basis == "m":
+        if len(lam) > n:
+            return SparsePoly.zero(n)
+        return SparsePoly._trusted(n, dict.fromkeys(_distinct_permutations(pad(lam, n)), 1))
+    choose = itertools.combinations_with_replacement if basis == "h" else itertools.combinations
+    return reduce(mul, (_symmetric_sum(b, n, choose) for b in lam), SparsePoly.one(n))
+
+
+def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Each rearrangement of a multiset exactly once (not n! with repeats),
+    in lexicographic order."""
+    perm = sorted(values)
+    out: list[tuple[int, ...]] = []
+    while True:
+        out.append(tuple(perm))
+        # the next one: the last entry below its successor swaps with the
+        # least larger entry after it, and the entries after it, which run
+        # down, are reversed to run up
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = reversed(perm[i + 1 :])
 
 
 @memo
@@ -278,15 +271,8 @@ def eval_s_tableau(lam: Sequence[int], mu: Sequence[int] = (), n: int = 1) -> Sp
 def eval_sym_func(f, n: int) -> SparsePoly:
     """Evaluate a basis-tagged symmetric function in n variables, termwise."""
     SparsePoly._check_head(n)
-
-    def image(lam: Partition) -> SparsePoly:
-        if f.basis == "s":
-            return _eval_s(lam, (), n)
-        if f.basis == "m":
-            return _eval_m(lam, n)
-        return _generator_product(f.basis, lam, n)
-
-    return _joined_sum(n, ((c, image(lam), _ONE) for lam, c in f._terms.items()))
+    terms = ((c, _eval_element(f.basis, lam, n), _ONE) for lam, c in f._terms.items())
+    return _joined_sum(n, terms)
 
 
 _ONE = SparsePoly.one(0)  # as q in _joined_sum: a plain linear combination
@@ -353,7 +339,8 @@ def alternant_pieri_check(lam: Sequence[int], r: int, n: int) -> bool:
     if len(lam) > _int(n, "variable count"):
         raise ValueError(f"partition has more than {n} parts")
     strips = _strip_extensions(lam, _nonneg(r, "strip size"), n)
-    lhs = alternant(_staircase_shift(lam, n), n) * _eval_h(r, n)
+    h_r = _symmetric_sum(r, n, itertools.combinations_with_replacement)
+    lhs = alternant(_staircase_shift(lam, n), n) * h_r
     rhs = _joined_sum(n, ((1, alternant(_staircase_shift(mu, n), n), _ONE) for mu in strips))
     return lhs == rhs
 
@@ -508,7 +495,7 @@ def h_split_check(lam: Sequence[int], a: int, b: int) -> bool:
             for alpha in _compositions(total, len(lam)):
                 sp = _straighten(tuple(map(sub, lam, alpha)))
                 if sp.sign:
-                    yield sp.sign, _generator_product("h", alpha, a), _eval_s(sp.partition, (), b)
+                    yield sp.sign, _eval_element("h", alpha, a), _eval_s(sp.partition, (), b)
 
     return _eval_s(lam, (), a + b) == _joined_sum(a + b, splits())
 

@@ -20,7 +20,7 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from ._memo import memo
-from ._sparse import accumulate
+from ._sparse import _field, accumulate
 from .partitions import (
     Partition,
     _contains,
@@ -132,7 +132,8 @@ class Tableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tableau":
-        return cls(tuple(data["outer"]), tuple(data["inner"]), data["rows"])
+        outer, inner = _field(data, "outer"), _field(data, "inner")
+        return cls(tuple(outer), tuple(inner), _field(data, "rows"))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tableau):

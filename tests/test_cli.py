@@ -458,6 +458,9 @@ def test_readme_quick_tour_runs():
         "lr_coefficient((3, 2, 1), (2, 1), (2, 1))",
         "kostka((2, 1), (), (1, 1, 1))",
         "skew_schur((2, 2), (1,))",
+        "eval_h(2, 2)",
+        "eval_e(2, 3)",
+        "eval_m((2, 1), 2)",
     ):
         assert str(eval(code, namespace)) == claims[code], code
 

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import schurkit
 from schurkit import _memo, cli, polyval, ring
@@ -45,12 +47,17 @@ def test_one_clear_empties_every_memo(capsys):
     assert all(f.cache_info().currsize == 0 for f in _memo._registry)
 
 
-def test_every_cache_is_registered():
-    # a bare functools.cache or lru_cache would escape clear_caches()
-    modules = [schurkit] + [
+def _modules():
+    # the package and every module in it, each imported
+    return [schurkit] + [
         importlib.import_module(f"schurkit.{info.name}")
         for info in pkgutil.iter_modules(schurkit.__path__)
     ]
+
+
+def test_every_cache_is_registered():
+    # a bare functools.cache or lru_cache would escape clear_caches()
+    modules = _modules()
     registered = {id(f) for f in _memo._registry}
     for mod in modules:
         for name, obj in vars(mod).items():
@@ -59,9 +66,18 @@ def test_every_cache_is_registered():
 
 
 def test_unread_values_are_not_memoised():
-    # the whole-degree matrices are rebuilt from the per-term memos, e_r in
-    # n variables is cheap to rebuild, and an h or e row in m is read once
-    # per conversion while the matrix counts below it keep their memo
+    # the whole-degree matrices are rebuilt from the per-term memos, h_r and
+    # e_r in n variables are cheap to rebuild, and an h or e row in m is read
+    # once per conversion while the matrix counts below it keep their memo
     registered = {id(f) for f in _memo._registry}
-    for fn in (ring.kostka_matrix, ring.kostka_inverse, polyval.eval_e, ring._in_m):
+    fns = (ring.kostka_matrix, ring.kostka_inverse, polyval.eval_h, polyval.eval_e, ring._in_m)
+    for fn in fns:
         assert id(fn) not in registered and not hasattr(fn, "cache_info"), fn.__name__
+
+
+def test_readme_counts_the_memos():
+    _modules()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    match = re.search(r"each of the (\d+) is a\s+`functools\.lru_cache`", text)
+    assert match, "the README no longer states the memo count"
+    assert int(match.group(1)) == len(_memo._registry)

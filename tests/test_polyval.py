@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 import schurkit
 from schurkit import polyval, verification
 from schurkit._sparse import accumulate
-from schurkit.partitions import compositions_of, partitions_of, subpartitions
+from schurkit.partitions import compositions_of, pad, partitions_of, subpartitions
 from schurkit.polyval import (
     SparsePoly,
     alternant,
@@ -151,9 +151,17 @@ def test_eval_m_examples():
     assert len(eval_m((3, 1, 1), 6)) == 6 * 10
 
 
+def test_distinct_permutations_are_the_sorted_rearrangements():
+    # every padded partition, the order included
+    for k in range(8):
+        for lam in partitions_of(k):
+            for n in range(len(lam), 8):
+                v = pad(lam, n)
+                assert polyval._distinct_permutations(v) == sorted(set(itertools.permutations(v)))
+
+
 def test_kostka_equals_monomial_coefficient():
     # independent route: K[lam][mu] is the x^mu coefficient of the tableau sum
-    from schurkit.partitions import pad
     from schurkit.tableaux import kostka
 
     for k in range(7):
@@ -180,7 +188,8 @@ def test_eval_h_and_e_examples():
 @pytest.mark.parametrize("fn", [eval_h, eval_e])
 @pytest.mark.parametrize("bad", [2.0, True])
 def test_eval_degree_must_be_int(fn, bad):
-    # cold, then with the int degree memoised: 2.0 and True hash like 2 and 1
+    # cold, then after the int degree: 2.0 and True hash like 2 and 1, so a
+    # memo keyed by the degree would answer them
     schurkit.clear_caches()
     with pytest.raises(TypeError):
         fn(bad, 3)
@@ -191,7 +200,8 @@ def test_eval_degree_must_be_int(fn, bad):
 
 @pytest.mark.parametrize("bad", [3.0, True])
 def test_h_monomial_variable_count_must_be_int(bad):
-    # cold, then with the int count memoised
+    # cold, then after the int count: a memo keyed by the count would
+    # answer 3.0 and True
     schurkit.clear_caches()
     h21 = SymFunc.element("h", (2, 1))
     with pytest.raises(TypeError):

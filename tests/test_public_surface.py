@@ -25,10 +25,8 @@ ALLOWED = {
     "adjacent_swap_identity_check": "ROADMAP item 2: the raising-operator suite calls it",
     "h_split_check": "ROADMAP item 2: the raising-operator suite calls it",
     "eval_sym_func": "ROADMAP item 8: the convert suite evaluates both sides with it",
-    "eval_m": "ROADMAP item 8: the convert suite's m side",
     "compositions_of": "documented primitive: the checked face of _compositions",
     "staircase": "documented primitive: the checked face of _staircase",
-    "eval_h": "documented primitive: h_r as a polynomial, next to eval_e and eval_m",
     "contains": "documented primitive: containment of Young diagrams",
 }
 

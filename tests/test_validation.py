@@ -254,6 +254,20 @@ RAISES = [
     # than by Tableau.content refusing to cut the content at len(w)
     (lambda: bz_involution(SignedPair((0,), Tableau((2,), (), [(1, 2)])), (2,)), ValueError,
      "pair is inconsistent: content does not match w"),
+    # the JSON readers name a missing field, which was a bare KeyError
+    (lambda: SymFunc.from_json_dict({}), ValueError, "missing field 'basis'"),
+    (lambda: SymFunc.from_json_dict({"basis": "s"}), ValueError, "missing field 'terms'"),
+    (lambda: SymFunc.from_json_dict({"basis": "s", "terms": [{"partition": [1]}]}), ValueError,
+     "missing field 'coeff'"),
+    (lambda: SymFunc.from_json_dict({"basis": "s", "terms": [{"coeff": "1"}]}), ValueError,
+     "missing field 'partition'"),
+    (lambda: SparsePoly.from_json_dict({"terms": []}), ValueError, "missing field 'n'"),
+    (lambda: SparsePoly.from_json_dict({"n": 1, "terms": [{"coeff": "1"}]}), ValueError,
+     "missing field 'exps'"),
+    (lambda: Tableau.from_json_dict({}), ValueError, "missing field 'outer'"),
+    (lambda: Tableau.from_json_dict({"outer": [1]}), ValueError, "missing field 'inner'"),
+    (lambda: Tableau.from_json_dict({"outer": [1], "inner": []}), ValueError,
+     "missing field 'rows'"),
 ]
 
 
