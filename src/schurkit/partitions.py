@@ -138,15 +138,19 @@ def horizontal_strips_within(
     horizontal strip (of the given size, when fixed), in canonical term order.
     """
     base, bound = normalize(base), normalize(bound)
+    if size is not None:  # a negative size has no strips, and is no error
+        _int(size, "strip size")
     if not _contains(base, bound):
         return []
     return list(_strips(base, bound, size))
 
 
-# Pieri, the Kostka chains, the LR fillings and the tableau polynomials all
-# walk strips, and a verify sweep asks for each (base, bound, size) about ten
-# times.  The bound keeps a long process's memo small: one product at the
-# degree cap can ask for more than 10,000 distinct keys.
+# Pieri, the Kostka chains, the strip chains and the tableau polynomials walk
+# strips here (the LR walk builds its lattice strips itself, its cut depending
+# on the previous entry), and `verify all` asks for each (base, bound, size)
+# about 13 times.  The bound keeps a long process's memo small: the lr-signed
+# suite at its acceptance bound asks for about 7,100 distinct keys, and one
+# request at the degree cap for up to about 2,100 (`convert h[1^20] --basis s`).
 _STRIP_MEMO_SIZE = 4096
 
 

@@ -6,12 +6,14 @@ entries at most m is the same thing as a chain of m nested shapes where the
 i-th step adds the boxes holding entry i.
 
 LR coefficients are counted on the same chains without building tableaux:
-`_lr_fillings` keeps only the strips whose row counts satisfy the lattice
-condition and merges walks that reach the same state.  `lr_tableaux` (build
-every filling, keep the lattice ones), `signed_lr_sum` (the alternating
-Kostka sum) and the peel behind `polyval.product_oracle` (peeling actual
-polynomials, in l(mu) + l(nu) variables in the lr-oracle suite) stay
-independent of it, as its checks.
+`_lr_fillings` builds each entry's strip row by row, inside the lattice room
+that the previous entry's row counts leave, so it never builds a strip that
+breaks the lattice condition, and merges walks that reach the same state.
+It does not list strips through `_strips`, whose memo the other walks share.
+`lr_tableaux` (build every filling, keep the lattice ones), `signed_lr_sum`
+(the alternating Kostka sum) and the peel behind `polyval.product_oracle`
+(peeling actual polynomials, in l(mu) + l(nu) variables in the lr-oracle
+suite) stay independent of it, as its checks.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Tableau:
         m = self.max_entry()
         if length is None:
             length = m
-        elif length < m:
+        elif _int(length, "length") < m:
             raise ValueError(f"tableau holds entries up to {m}, cannot cut at {length}")
         counts = [0] * length
         for row in self.rows:
@@ -279,40 +281,48 @@ def _lr_fillings(mu: Partition, nu: Partition, bound: Partition) -> dict[Partiti
     """Count the LR fillings of every lam/mu inside bound with content nu:
     {lam: c^lam_{mu nu}} over the lam that have one.
 
-    Entry i is placed as a horizontal nu_i-strip, and a strip is kept only
-    if it meets the lattice condition against the per-row counts of entry
-    i - 1.  Walks sharing a shape and the last entry's row counts are
-    merged with their multiplicities.  Trusted: canonical partitions, mu
-    inside bound.
+    A state is a shape and the per-row counts of the last entry placed.
+    Entry i is placed as a horizontal nu_i-strip over the shape, built row
+    by row: row r takes c_r boxes, at most what a horizontal strip can add
+    to row r inside bound, at most what is left of nu_i and, after entry 1,
+    at most the lattice room (the reverse reading word is a lattice word):
+    the i's in rows <= r are at most the (i - 1)'s in rows < r, so entry i
+    starts in the row below the first row holding an i - 1.  A strip is
+    done when nu_i is used up, so no strip that breaks the lattice condition
+    is ever built.  Walks that reach the same state are merged with their
+    multiplicities.  Trusted: canonical partitions, mu inside bound.
     """
-    states = {(mu, None): 1}
+    states: dict = {(mu, None): 1}
     for size in nu:
-        states = accumulate(
-            ((shape, counts), ways)
-            for (base, prev), ways in states.items()
-            for shape in _strips(base, bound, size)
-            if (counts := _lattice_counts(base, shape, prev)) is not None
-        )
+        nxt: dict = {}
+        get = nxt.get
+        for (base, prev), ways in states.items():
+            rows = min(len(bound), len(base) + 1)
+            # (row, boxes left, lattice room in the row, shape rows, counts
+            # so far); pushing c low..high pops larger shapes first, the
+            # canonical order of a fixed-size strip walk
+            if prev is None:  # entry 1, free of the lattice condition
+                stack = [(0, size, size, (), ())]
+            else:
+                # the rows down to the first (i - 1) have no lattice room
+                top = next(r for r, c in enumerate(prev) if c) + 1
+                stack = [(top, size, prev[top - 1], base[:top], (0,) * top)]
+            gains = prev or ()
+            while stack:
+                row, left, room, shape, counts = stack.pop()
+                if not left:
+                    key = (shape + base[row:], counts)
+                    nxt[key] = get(key, 0) + ways
+                elif row < rows:
+                    low = base[row] if row < len(base) else 0
+                    high = min(bound[row], base[row - 1]) if row else bound[0]
+                    after = room + (gains[row] if row < len(gains) else 0)
+                    for c in range(min(high - low, left, room) + 1):
+                        stack.append(
+                            (row + 1, left - c, after - c, shape + (low + c,), counts + (c,))
+                        )
+        states = nxt
     return accumulate((shape, ways) for (shape, _), ways in states.items())
-
-
-def _lattice_counts(
-    base: Partition, shape: Partition, prev: Optional[tuple[int, ...]]
-) -> Optional[tuple[int, ...]]:
-    """Per-row box counts of the strip shape/base, or None when, as entry i
-    after the entry-(i - 1) counts prev, it breaks the lattice condition: in
-    every row r, the i's in rows <= r are at most the (i - 1)'s in rows < r
-    (the reverse reading word is a lattice word).  prev None: entry 1."""
-    counts = tuple(v - base[r] if r < len(base) else v for r, v in enumerate(shape))
-    if prev is not None:
-        room = 0
-        for r, c in enumerate(counts):
-            room -= c
-            if room < 0:
-                return None
-            if r < len(prev):
-                room += prev[r]
-    return counts
 
 
 @memo

@@ -25,7 +25,6 @@ from schurkit.partitions import (
     term_key,
     vertical_strip_extensions,
 )
-from schurkit.ring import SymFunc, multiply
 
 
 @st.composite
@@ -372,10 +371,12 @@ def test_mutating_a_result_leaves_the_memo_alone(fn, args):
 
 
 def test_strip_memo_stays_within_its_bound():
-    # h[4,3,2,1]^2 asks for more than 11,000 distinct strips by Pieri steps
+    # one (lam, p) key each: 4,440 distinct strip lists, more than the bound
     schurkit.clear_caches()
-    h = SymFunc.element("h", (4, 3, 2, 1))
-    multiply(h, h)
+    for k in (12, 13, 14):
+        for lam in partitions_of(k):
+            for p in range(k + 1):
+                horizontal_strip_extensions(lam, p)
     info = _strips.cache_info()
     assert info.maxsize == 4096
     assert info.misses > info.maxsize and info.currsize == info.maxsize

@@ -7,7 +7,9 @@ import pytest
 
 import schurkit
 from schurkit import tableaux, verification
-from schurkit.partitions import partitions_of, subpartitions
+from schurkit._sparse import accumulate
+from schurkit.partitions import _strips, partitions_of, subpartitions
+from schurkit.ring import SymFunc, multiply
 from schurkit.tableaux import (
     SignedPair,
     Tableau,
@@ -195,6 +197,74 @@ def test_lr_coefficient_walks_only_contents_inside_lam(monkeypatch):
     assert result.failures == [] and len(walks) == 810
     assert all(schurkit.contains(nu, lam) for _, nu, lam in walks)
     schurkit.clear_caches()
+
+
+# The LR walk as it was before it built its strips row by row: list every
+# horizontal strip with _strips, then drop those that break the lattice
+# condition.  Kept here as the slow reference of _lr_fillings.
+
+
+def _lr_fillings_by_filter(mu, nu, bound):
+    states = {(mu, None): 1}
+    for size in nu:
+        states = accumulate(
+            ((shape, counts), ways)
+            for (base, prev), ways in states.items()
+            for shape in _strips(base, bound, size)
+            if (counts := _lattice_counts(base, shape, prev)) is not None
+        )
+    return accumulate((shape, ways) for (shape, _), ways in states.items())
+
+
+def _lattice_counts(base, shape, prev):
+    """Per-row box counts of the strip shape/base, or None when, as entry i
+    after the entry-(i - 1) counts prev, it breaks the lattice condition: in
+    every row r, the i's in rows <= r are at most the (i - 1)'s in rows < r
+    (the reverse reading word is a lattice word).  prev None: entry 1."""
+    counts = tuple(v - base[r] if r < len(base) else v for r, v in enumerate(shape))
+    if prev is not None:
+        room = 0
+        for r, c in enumerate(counts):
+            room -= c
+            if room < 0:
+                return None
+            if r < len(prev):
+                room += prev[r]
+    return counts
+
+
+def test_lr_walk_matches_the_strip_filter():
+    pairs = 0
+    for k in range(11):
+        for size in range(k + 1):
+            for mu in partitions_of(size):
+                for nu in partitions_of(k - size):
+                    # multiply's box, then each lam of the result as the bound
+                    width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
+                    box = (width,) * (len(mu) + len(nu))
+                    want = _lr_fillings_by_filter(mu, nu, box)
+                    assert tableaux._lr_fillings(mu, nu, box) == want, (mu, nu)
+                    for lam in want:
+                        assert tableaux._lr_fillings(mu, nu, lam) == (
+                            _lr_fillings_by_filter(mu, nu, lam)
+                        ), (mu, nu, lam)
+                    pairs += 1
+    assert pairs == 1215
+
+
+def test_products_list_no_strips(monkeypatch):
+    calls = []
+    strips = tableaux._strips
+
+    def counting_strips(*args):
+        calls.append(args)
+        return strips(*args)
+
+    monkeypatch.setattr(tableaux, "_strips", counting_strips)
+    schurkit.clear_caches()
+    s = SymFunc.element
+    product = multiply(s("s", (3, 2, 1)), s("s", (2, 2, 1, 1)))
+    assert product._terms[(4, 3, 2, 2, 1)] == 3 and calls == []
 
 
 def test_lr_symmetry_and_conjugation():

@@ -22,6 +22,7 @@ from schurkit.partitions import (
     dominates,
     horizontal_strip_extensions,
     horizontal_strip_reductions,
+    horizontal_strips_within,
     vertical_strip_extensions,
 )
 from schurkit.polyval import (
@@ -227,6 +228,11 @@ RAISES = [
     (lambda: alternant_pieri_check((1,), -1, 2), ValueError, "strip size must be nonnegative"),
     (lambda: mirror_identity_check((1,), -1), ValueError, "strip size must be nonnegative"),
     (lambda: mirror_identity_check((1,), 2.0), TypeError, "strip size must be int, got 2.0"),
+    # a bool size was a strip size and a memo key, a float failed in range()
+    (lambda: horizontal_strips_within((1,), (3,), True), TypeError,
+     "strip size must be int, got True"),
+    (lambda: horizontal_strips_within((1,), (3,), 1.5), TypeError,
+     "strip size must be int, got 1.5"),
     (lambda: cauchy_transition_check(-1), ValueError, "degree must be nonnegative"),
     (lambda: cauchy_transition_check(-1.0), TypeError, "degree must be int, got -1.0"),
     (lambda: cauchy_truncated_check(-1, 2), ValueError, "degree must be nonnegative"),
@@ -254,6 +260,11 @@ RAISES = [
     # than by Tableau.content refusing to cut the content at len(w)
     (lambda: bz_involution(SignedPair((0,), Tableau((2,), (), [(1, 2)])), (2,)), ValueError,
      "pair is inconsistent: content does not match w"),
+    # a bool length was compared as 0 or 1, a float failed in list repetition
+    (lambda: Tableau((2, 2), (1,), [(1,), (1, 2)]).content(True), TypeError,
+     "length must be int, got True"),
+    (lambda: Tableau((2, 2), (1,), [(1,), (1, 2)]).content(2.0), TypeError,
+     "length must be int, got 2.0"),
     # the JSON readers name a missing field, which was a bare KeyError
     (lambda: SymFunc.from_json_dict({}), ValueError, "missing field 'basis'"),
     (lambda: SymFunc.from_json_dict({"basis": "s"}), ValueError, "missing field 'terms'"),
